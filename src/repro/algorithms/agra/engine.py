@@ -54,10 +54,6 @@ class AGRA:
         Random source shared by micro-GAs, transcription and mini-GRA.
     update_fraction:
         Write-transfer scaling forwarded to the cost model.
-    incremental:
-        Price micro-GA offspring and mini-GRA mutation offspring as
-        delta chains (default); bit-identical results either way — the
-        flag exists for the golden comparison tests and benchmarks.
     """
 
     name = "AGRA"
@@ -68,13 +64,11 @@ class AGRA:
         gra_params: GAParams = PAPER_PARAMS,
         rng: SeedLike = None,
         update_fraction: float = 1.0,
-        incremental: bool = True,
     ) -> None:
         self.params = params
         self.gra_params = gra_params
         self._rng = as_generator(rng)
         self._update_fraction = update_fraction
-        self._incremental = incremental
 
     # ------------------------------------------------------------------ #
     def _build_population(
@@ -109,9 +103,7 @@ class AGRA:
                     )
                 )
             )
-        population = Population(
-            instance, model, members, delta_chains=self._incremental
-        )
+        population = Population(instance, model, members)
         population.evaluate_all()
         return population
 
@@ -191,7 +183,6 @@ class AGRA:
                         seed_columns=seed_columns_by_obj[k],
                         params=self.params,
                         rng=self._rng,
-                        incremental=self._incremental,
                     )
                     span.set(evaluations=micro.evaluations)
                 micro_evaluations += micro.evaluations
@@ -229,7 +220,6 @@ class AGRA:
                     params=self.gra_params,
                     rng=self._rng,
                     update_fraction=self._update_fraction,
-                    delta_chains=self._incremental,
                 )
                 mini.evolve(population, mini_gra_generations)
             best = population.best_scheme()

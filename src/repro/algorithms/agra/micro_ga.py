@@ -17,7 +17,7 @@ protected), elitism, negative-fitness chromosomes reset to primary-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from repro.algorithms.agra.params import AGRAParams, PAPER_AGRA_PARAMS
 from repro.algorithms.gra.operators import single_point_crossover
 from repro.algorithms.gra.selection import stochastic_remainder_selection
 from repro.core.cost import CostModel
-from repro.core.incremental import ObjectColumnState
 from repro.core.problem import DRPInstance
 from repro.errors import ValidationError
 from repro.utils.rng import SeedLike, as_generator
@@ -64,7 +63,6 @@ def run_micro_ga(
     seed_columns: Sequence[np.ndarray] = (),
     params: AGRAParams = PAPER_AGRA_PARAMS,
     rng: SeedLike = None,
-    incremental: bool = True,
 ) -> MicroGAResult:
     """Evolve replica placements for a single object.
 
@@ -80,13 +78,11 @@ def run_micro_ga(
         Columns extracted from previous GRA solutions; fills the
         non-random half of the initial population (cycled if fewer than
         needed).
-    incremental:
-        Evaluate pass-through (un-crossed, possibly mutated) pool members
-        as delta chains off their parent's
-        :class:`~repro.core.incremental.ObjectColumnState` (default);
-        crossover children keep the memoised full-kernel path either
-        way.  Values, RNG consumption and cache accounting are identical
-        with the flag on or off.
+
+    Every column is priced through the model's memoised
+    :meth:`~repro.core.cost.CostModel.object_cost_cached`; pass-through
+    parents and elitist copies recur across generations, so most
+    evaluations are cache hits.
     """
     gen = as_generator(rng)
     m = instance.num_sites
@@ -104,34 +100,17 @@ def run_micro_ga(
     v_prime = model.primary_only_object_cost(obj)
     evaluations = 0
 
-    def fitness_of(
-        column: np.ndarray,
-        state: Optional[ObjectColumnState] = None,
-    ) -> Tuple[float, np.ndarray, Optional[ObjectColumnState]]:
-        """Fitness with the paper's negative reset to primary-only.
-
-        With a ``state`` the column is priced by chaining the state's
-        two-nearest structure to it; otherwise through the memoised full
-        kernel.  A negative-fitness reset discards the state — it
-        described the pre-reset column.
-        """
+    def fitness_of(column: np.ndarray) -> Tuple[float, np.ndarray]:
+        """Fitness with the paper's negative reset to primary-only."""
         nonlocal evaluations
         evaluations += 1
-        if state is not None:
-            v = state.evaluate(column)
-        else:
-            v = model.object_cost_cached(obj, column)
+        v = model.object_cost_cached(obj, column)
         if v_prime == 0.0:
-            return 0.0, column, state
+            return 0.0, column
         f = (v_prime - v) / v_prime
         if f < 0.0:
-            return 0.0, _primary_only_column(instance, obj), None
-        return f, column, state
-
-    def fresh_state(column: np.ndarray) -> Optional[ObjectColumnState]:
-        if not incremental:
-            return None
-        return ObjectColumnState(model, obj, column)
+            return 0.0, _primary_only_column(instance, obj)
+        return f, column
 
     # ------------------------------------------------------------------ #
     # initial population: half random, half from previous GRA solutions,
@@ -157,49 +136,35 @@ def run_micro_ga(
     population[-1] = current_column.copy()
 
     fitness: List[float] = []
-    states: List[Optional[ObjectColumnState]] = []
     for i, column in enumerate(population):
-        f, column, state = fitness_of(column, fresh_state(column))
-        population[i] = column
+        f, population[i] = fitness_of(column)
         fitness.append(f)
-        states.append(state)
 
     elite_f = max(fitness)
-    elite_idx = int(np.argmax(fitness))
-    elite = population[elite_idx].copy()
-    elite_state = states[elite_idx]
+    elite = population[int(np.argmax(fitness))].copy()
 
     # ------------------------------------------------------------------ #
     # generations
     # ------------------------------------------------------------------ #
     for generation in range(params.generations):
         # Crossover: random pairing; untouched parents pass through
-        # (regular sampling space).  Pass-through members remember their
-        # parent slot so evaluation can delta-chain off its column state;
-        # crossover children mix two parents and are priced fresh.
+        # (regular sampling space).
         order = gen.permutation(pop_size)
         pool: List[np.ndarray] = []
-        pool_parents: List[Optional[int]] = []
         for pos in range(0, pop_size - 1, 2):
-            ia = int(order[pos])
-            ib = int(order[pos + 1])
-            a = population[ia]
-            b = population[ib]
+            a = population[int(order[pos])]
+            b = population[int(order[pos + 1])]
             if gen.random() < params.crossover_rate:
                 child_a, child_b = single_point_crossover(m, a, b, gen)
                 child_a[primary] = True
                 child_b[primary] = True
                 pool.append(child_a)
                 pool.append(child_b)
-                pool_parents.extend((None, None))
             else:
                 pool.append(a.copy())
                 pool.append(b.copy())
-                pool_parents.extend((ia, ib))
         if pop_size % 2 == 1:
-            ia = int(order[-1])
-            pool.append(population[ia].copy())
-            pool_parents.append(ia)
+            pool.append(population[int(order[-1])].copy())
 
         # Mutation: in-place bit flips on the pool, primary bit protected.
         if params.mutation_rate > 0.0:
@@ -209,39 +174,24 @@ def run_micro_ga(
                 column[flips] = ~column[flips]
 
         pool_fitness: List[float] = []
-        pool_states: List[Optional[ObjectColumnState]] = []
         for i, column in enumerate(pool):
-            state = None
-            if incremental:
-                parent_idx = pool_parents[i]
-                if parent_idx is not None and states[parent_idx] is not None:
-                    # Chain: clone the parent's state (selection shares
-                    # state objects between slots) and apply the diff.
-                    state = states[parent_idx].clone()
-                else:
-                    state = fresh_state(column)
-            f, column, state = fitness_of(column, state)
-            pool[i] = column
+            f, pool[i] = fitness_of(column)
             pool_fitness.append(f)
-            pool_states.append(state)
 
         chosen = stochastic_remainder_selection(
             np.asarray(pool_fitness), pop_size, gen
         )
         population = [pool[i].copy() for i in chosen]
         fitness = [pool_fitness[i] for i in chosen]
-        states = [pool_states[i] for i in chosen]
 
         best_idx = int(np.argmax(fitness))
         if fitness[best_idx] > elite_f:
             elite_f = fitness[best_idx]
             elite = population[best_idx].copy()
-            elite_state = states[best_idx]
         if (generation + 1) % params.elite_interval == 0:
             worst = int(np.argmin(fitness))
             population[worst] = elite.copy()
             fitness[worst] = elite_f
-            states[worst] = elite_state
 
     # Guarantee the elite is in the final ranking.
     if elite_f > max(fitness):

@@ -43,12 +43,6 @@ from repro.utils.profiler import current_profiler
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.tracing import current_tracer
 
-#: legacy stats keys -> the per-record field each one was derived from
-_LEGACY_HISTORY_KEYS = {
-    "best_fitness_history": "best_fitness",
-    "mean_fitness_history": "mean_fitness",
-}
-
 
 class GRAStats(dict):
     """GRA run diagnostics with a single source of convergence truth.
@@ -57,31 +51,11 @@ class GRAStats(dict):
     ``convergence_records`` (one dict per generation: ``generation``,
     ``best_fitness``, ``mean_fitness``); :meth:`history` projects any
     record field into the flat list the analysis helpers consume.
-
-    The pre-refactor stats dict *also* materialised
-    ``best_fitness_history`` / ``mean_fitness_history`` as eager
-    duplicate lists.  Indexing those keys still works — derived on the
-    fly via ``__missing__`` — but emits a :class:`DeprecationWarning`;
-    use ``stats.history("best_fitness")`` instead.
     """
 
     def history(self, field: str) -> List[float]:
         """The per-generation values of ``field`` (index 0 = seeded pop)."""
         return [record[field] for record in self["convergence_records"]]
-
-    def __missing__(self, key):
-        import warnings
-
-        field = _LEGACY_HISTORY_KEYS.get(key)
-        if field is None:
-            raise KeyError(key)
-        warnings.warn(
-            f"stats[{key!r}] is deprecated; use "
-            f"stats.history({field!r})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.history(field)
 
 
 class GRA(ReplicationAlgorithm):
@@ -96,11 +70,6 @@ class GRA(ReplicationAlgorithm):
         Random source for all stochastic decisions.
     update_fraction:
         Write-transfer scaling forwarded to the cost model.
-    delta_chains:
-        Evaluate mutation offspring as delta chains from their parent
-        genome (default) instead of full batch pricing; bit-identical
-        results either way — the flag exists for the golden comparison
-        tests and benchmarks.
     """
 
     name = "GRA"
@@ -110,12 +79,10 @@ class GRA(ReplicationAlgorithm):
         params: GAParams = PAPER_PARAMS,
         rng: SeedLike = None,
         update_fraction: float = 1.0,
-        delta_chains: bool = True,
     ) -> None:
         self.params = params
         self._rng = as_generator(rng)
         self._update_fraction = update_fraction
-        self._delta_chains = delta_chains
 
     def make_cost_model(self, instance: DRPInstance) -> CostModel:
         return CostModel(instance, update_fraction=self._update_fraction)
@@ -155,9 +122,7 @@ class GRA(ReplicationAlgorithm):
                     self._rng,
                 )
             )
-        population = Population(
-            instance, model, members, delta_chains=self._delta_chains
-        )
+        population = Population(instance, model, members)
         population.evaluate_all()
         return population
 
@@ -189,11 +154,8 @@ class GRA(ReplicationAlgorithm):
     def _mutation_subpopulation(
         self, instance: DRPInstance, parents: List[Chromosome]
     ) -> List[Chromosome]:
-        # Offspring carry a parent link so evaluation can delta-chain off
-        # the parent's per-object costs (only changed columns re-priced).
-        offspring: List[Chromosome] = []
-        for parent in parents:
-            child = Chromosome(
+        return [
+            Chromosome(
                 mutate(
                     instance,
                     parent.matrix,
@@ -201,9 +163,8 @@ class GRA(ReplicationAlgorithm):
                     self._rng,
                 )
             )
-            child.parent = parent
-            offspring.append(child)
-        return offspring
+            for parent in parents
+        ]
 
     def evolve(
         self,

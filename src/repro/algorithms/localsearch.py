@@ -46,49 +46,24 @@ class _Move(NamedTuple):
     delta: float
 
 
-def _full_add_delta(
-    model: CostModel, scheme: ReplicationScheme, site: int, obj: int
-) -> float:
-    """Pre-evaluator add pricing: two full per-object recomputes."""
-    column = scheme.matrix[:, obj].copy()
-    before = model.object_cost_cached(obj, column)
-    column[site] = True
-    return model.object_cost_cached(obj, column) - before
-
-
-def _full_drop_delta(
-    model: CostModel, scheme: ReplicationScheme, site: int, obj: int
-) -> float:
-    """Pre-evaluator drop pricing: two full per-object recomputes."""
-    column = scheme.matrix[:, obj].copy()
-    before = model.object_cost_cached(obj, column)
-    column[site] = False
-    return model.object_cost_cached(obj, column) - before
-
-
 def _sample_moves(
     instance: DRPInstance,
-    model: CostModel,
     scheme: ReplicationScheme,
     rng: np.random.Generator,
     samples: int,
-    evaluator: Optional[IncrementalCostEvaluator] = None,
+    evaluator: IncrementalCostEvaluator,
 ) -> List[_Move]:
     """Sample up to ``samples`` random feasible moves with exact deltas.
 
-    With an ``evaluator`` the deltas come from its O(M) incremental path;
-    without one they are priced with full per-object recomputes (the
-    pre-refactor behaviour).  Both produce bit-identical deltas and
-    consume the RNG identically.
+    The deltas come from the evaluator's O(M) incremental path.
     """
     m, n = instance.num_sites, instance.num_objects
     remaining = scheme.remaining_capacity()
     moves: List[_Move] = []
     # The scheme is static while sampling, so all draws and feasibility
     # checks vectorise: two bulk RNG draws replace 2*samples scalar ones
-    # (both evaluation paths share this stream, so cross-path identity
-    # is untouched) and the held/fits/primary tests become three array
-    # ops instead of per-sample scalar indexing.
+    # and the held/fits/primary tests become three array ops instead of
+    # per-sample scalar indexing.
     sites = rng.integers(m, size=samples)
     objs = rng.integers(n, size=samples)
     held_flags = scheme.matrix[sites, objs]
@@ -100,10 +75,7 @@ def _sample_moves(
         obj = int(objs[i])
         if not held_flags[i]:
             if fits_flags[i]:
-                if evaluator is not None:
-                    delta = evaluator.delta_add(site, obj)
-                else:
-                    delta = _full_add_delta(model, scheme, site, obj)
+                delta = evaluator.delta_add(site, obj)
                 moves.append(_Move(MOVE_ADD, site, obj, None, delta))
             else:
                 # site full: try swapping out a held non-primary object
@@ -121,24 +93,14 @@ def _sample_moves(
                 freed = remaining[site] + instance.sizes[victim]
                 if freed < instance.sizes[obj]:
                     continue
-                if evaluator is not None:
-                    # victim != obj, so the two deltas touch different
-                    # object columns and sum exactly without applying
-                    # the drop first.
-                    delta = evaluator.delta_drop(site, victim)
-                    delta += evaluator.delta_add(site, obj)
-                else:
-                    # apply-drop temporarily to price the add exactly
-                    delta = _full_drop_delta(model, scheme, site, victim)
-                    scheme.drop_replica(site, victim)
-                    delta += _full_add_delta(model, scheme, site, obj)
-                    scheme.add_replica(site, victim)
+                # victim != obj, so the two deltas touch different
+                # object columns and sum exactly without applying the
+                # drop first.
+                delta = evaluator.delta_drop(site, victim)
+                delta += evaluator.delta_add(site, obj)
                 moves.append(_Move(MOVE_SWAP, site, obj, victim, delta))
         elif not primary_flags[i]:
-            if evaluator is not None:
-                delta = evaluator.delta_drop(site, obj)
-            else:
-                delta = _full_drop_delta(model, scheme, site, obj)
+            delta = evaluator.delta_drop(site, obj)
             moves.append(_Move(MOVE_DROP, site, None, obj, delta))
     return moves
 
@@ -168,9 +130,6 @@ class HillClimbing(ReplicationAlgorithm):
         is not proof of a local optimum).
     seed_with_sra:
         Start from the SRA solution (default) or from primary-only.
-    incremental:
-        Price moves off a live incremental evaluator (default) or with
-        full per-object recomputes; bit-identical results either way.
     """
 
     name = "HillClimbing"
@@ -182,7 +141,6 @@ class HillClimbing(ReplicationAlgorithm):
         patience: int = 5,
         seed_with_sra: bool = True,
         rng: SeedLike = None,
-        incremental: bool = True,
     ) -> None:
         if neighbourhood < 1:
             raise ValidationError(
@@ -199,27 +157,20 @@ class HillClimbing(ReplicationAlgorithm):
         self._patience = patience
         self._seed_with_sra = seed_with_sra
         self._rng = as_generator(rng)
-        self._incremental = incremental
 
     def _solve(
         self, instance: DRPInstance, model: CostModel
     ) -> Tuple[ReplicationScheme, Dict[str, object]]:
         if self._seed_with_sra:
-            seed = SRA(incremental=self._incremental)
-            scheme = seed.run(instance, model).scheme
+            scheme = SRA().run(instance, model).scheme
         else:
             scheme = ReplicationScheme.primary_only(instance)
-        evaluator = (
-            IncrementalCostEvaluator(model, scheme)
-            if self._incremental
-            else None
-        )
+        evaluator = IncrementalCostEvaluator(model, scheme)
         iterations = 0
         dry = 0
         while iterations < self._max_iterations and dry < self._patience:
             moves = _sample_moves(
-                instance, model, scheme, self._rng, self._neighbourhood,
-                evaluator,
+                instance, scheme, self._rng, self._neighbourhood, evaluator
             )
             improving = [mv for mv in moves if mv.delta < -1e-9]
             if not improving:
@@ -229,14 +180,10 @@ class HillClimbing(ReplicationAlgorithm):
             best = min(improving, key=lambda mv: mv.delta)
             _apply(scheme, best)
             iterations += 1
-        if evaluator is not None:
-            evaluator.detach()
+        evaluator.detach()
         return scheme, {
             "iterations": iterations,
             "seeded": self._seed_with_sra,
-            "evaluation_path": (
-                "incremental" if self._incremental else "full"
-            ),
         }
 
 
@@ -259,7 +206,6 @@ class SimulatedAnnealing(ReplicationAlgorithm):
         cooling: float = 0.999,
         seed_with_sra: bool = True,
         rng: SeedLike = None,
-        incremental: bool = True,
     ) -> None:
         if steps < 0:
             raise ValidationError(f"steps must be >= 0, got {steps}")
@@ -277,31 +223,23 @@ class SimulatedAnnealing(ReplicationAlgorithm):
         self._cooling = cooling
         self._seed_with_sra = seed_with_sra
         self._rng = as_generator(rng)
-        self._incremental = incremental
 
     def _solve(
         self, instance: DRPInstance, model: CostModel
     ) -> Tuple[ReplicationScheme, Dict[str, object]]:
         if self._seed_with_sra:
-            seed = SRA(incremental=self._incremental)
-            scheme = seed.run(instance, model).scheme
+            scheme = SRA().run(instance, model).scheme
         else:
             scheme = ReplicationScheme.primary_only(instance)
         rng = self._rng
-        evaluator = (
-            IncrementalCostEvaluator(model, scheme)
-            if self._incremental
-            else None
-        )
+        evaluator = IncrementalCostEvaluator(model, scheme)
         temperature = self._t0 * model.d_prime()
         best = scheme.copy()
         best_cost = model.total_cost(best)
         current_cost = best_cost
         accepted = 0
         for _ in range(self._steps):
-            moves = _sample_moves(
-                instance, model, scheme, rng, 1, evaluator
-            )
+            moves = _sample_moves(instance, scheme, rng, 1, evaluator)
             temperature *= self._cooling
             if not moves:
                 continue
@@ -318,15 +256,11 @@ class SimulatedAnnealing(ReplicationAlgorithm):
             if current_cost < best_cost - 1e-9:
                 best = scheme.copy()
                 best_cost = current_cost
-        if evaluator is not None:
-            evaluator.detach()
+        evaluator.detach()
         return best, {
             "accepted_moves": accepted,
             "final_temperature": temperature,
             "seeded": self._seed_with_sra,
-            "evaluation_path": (
-                "incremental" if self._incremental else "full"
-            ),
         }
 
 

@@ -23,13 +23,12 @@ factors, for an overall ``O(M^2 N + M N^2)``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.algorithms.base import ReplicationAlgorithm
 from repro.core.cost import CostModel, cost_model_for
-from repro.core.incremental import IncrementalCostEvaluator
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
@@ -54,13 +53,6 @@ class SRA(ReplicationAlgorithm):
         Random source; only consulted when ``site_order="random"``.
     update_fraction:
         Write-transfer scaling forwarded to the cost model (1.0 = paper).
-    incremental:
-        Price benefits off a live
-        :class:`~repro.core.incremental.IncrementalCostEvaluator` (the
-        default) or off the legacy hand-rolled SN tables.  Both paths
-        produce bit-identical schemes and consume the RNG identically;
-        the flag exists for the golden comparison tests and the
-        incremental-vs-full benchmark.
     """
 
     name = "SRA"
@@ -71,7 +63,6 @@ class SRA(ReplicationAlgorithm):
         site_order: str = ORDER_ROUND_ROBIN,
         rng: SeedLike = None,
         update_fraction: float = 1.0,
-        incremental: bool = True,
     ) -> None:
         if site_order not in (ORDER_ROUND_ROBIN, ORDER_RANDOM):
             raise ValidationError(
@@ -80,7 +71,6 @@ class SRA(ReplicationAlgorithm):
         self._site_order = site_order
         self._rng = as_generator(rng)
         self._update_fraction = update_fraction
-        self._incremental = incremental
         if site_order == ORDER_RANDOM:
             self.name = "SRA(random-order)"
 
@@ -100,42 +90,44 @@ class SRA(ReplicationAlgorithm):
             objects=instance.num_objects,
             order=self._site_order,
         ) as span:
-            scheme, stats = self._solve_traced(instance, model, tracer)
+            scheme, stats = self._solve_traced(instance, tracer)
             span.set(replicas_created=stats["replicas_created"])
         return scheme, stats
 
     def _solve_traced(
-        self,
-        instance: DRPInstance,
-        model: CostModel,
-        tracer,
+        self, instance, tracer
     ) -> Tuple[ReplicationScheme, Dict[str, object]]:
-        if not isinstance(instance, DRPInstance):
-            return self._solve_sparse(instance, model, tracer)
+        """One greedy scan for dense and sparse problems alike.
+
+        The only difference between the two is how a site's read/write
+        row is fetched: a view of the dense count matrix, or the CSR row
+        densified to the same integers.  The benefit arithmetic below is
+        therefore identical, and a sparse problem yields the densified
+        run's scheme bit for bit.  Peak extra memory is one ``(M, N)``
+        float64 nearest-distance table plus two boolean matrices.
+        """
         ledger = current_ledger()
-        m, n = instance.num_sites, instance.num_objects
+        m = instance.num_sites
         cost = instance.cost
         sizes = instance.sizes
         reads = instance.reads
         writes = instance.writes
         primaries = instance.primaries
-        total_writes = writes.sum(axis=0)
+        if isinstance(instance, DRPInstance):
+            read_row, write_row = reads.__getitem__, writes.__getitem__
+            total_writes = writes.sum(axis=0)
+        else:
+            read_row, write_row = reads.row_dense, writes.row_dense
+            total_writes = writes.column_sums()
         uf = self._update_fraction
 
         scheme = ReplicationScheme.primary_only(instance)
         remaining = scheme.remaining_capacity()
 
-        evaluator: Optional[IncrementalCostEvaluator] = None
-        if self._incremental:
-            # The evaluator maintains the SN distances (two-nearest) and
-            # prices Eq. 5 through the shared eq5_benefit arithmetic; the
-            # scheme's change listener keeps it current as replicas land.
-            evaluator = IncrementalCostEvaluator(model, scheme)
-        else:
-            # Legacy pre-evaluator path: hand-rolled SN table.  With only
-            # primaries placed, SN[:, k] == SP_k.
-            nearest = np.tile(primaries, (m, 1)).astype(np.int64)
-            nearest_cost = cost[np.arange(m)[:, None], nearest]
+        # SN distances: with only primaries placed, SN[:, k] == SP_k.
+        # Advanced indexing yields a fresh array, updated in place per
+        # placement (the scan only ever consumes the distances).
+        nearest_cost = cost[:, primaries]
 
         # Candidate matrix: L_i as rows.  Objects already held (primaries)
         # are not candidates.
@@ -159,13 +151,10 @@ class SRA(ReplicationAlgorithm):
             cand = candidates[site]
             objs = np.nonzero(cand)[0]
             # Benefit of each candidate (Eq. 5, already divided by o_k).
-            if evaluator is not None:
-                benefit = evaluator.benefits(site, objs)
-            else:
-                read_gain = reads[site, objs] * nearest_cost[site, objs]
-                other_writes = total_writes[objs] - writes[site, objs]
-                update_cost = uf * other_writes * cost[site, primaries[objs]]
-                benefit = read_gain - update_cost
+            read_gain = read_row(site)[objs] * nearest_cost[site, objs]
+            other_writes = total_writes[objs] - write_row(site)[objs]
+            update_cost = uf * other_writes * cost[site, primaries[objs]]
+            benefit = read_gain - update_cost
             benefit_evaluations += int(objs.size)
 
             fits = sizes[objs] <= remaining[site] + 1e-9
@@ -201,12 +190,9 @@ class SRA(ReplicationAlgorithm):
                 replicas_created += 1
                 remaining[site] -= sizes[best]
                 candidates[site, best] = False
-                if evaluator is None:
-                    # Update SN for the new replica's object at every site
-                    # (the evaluator path does this via its listener).
-                    closer = cost[:, site] < nearest_cost[:, best]
-                    nearest[closer, best] = site
-                    nearest_cost[closer, best] = cost[closer, site]
+                # Update SN for the new replica's object at every site.
+                closer = cost[:, site] < nearest_cost[:, best]
+                nearest_cost[closer, best] = cost[closer, site]
                 # Objects that no longer fit at this site die lazily on the
                 # next visit; the capacity check above handles them.
 
@@ -219,137 +205,12 @@ class SRA(ReplicationAlgorithm):
             elif self._site_order == ORDER_ROUND_ROBIN:
                 cursor = (pos + 1) % len(active)
 
-        if evaluator is not None:
-            evaluator.detach()
         stats: Dict[str, object] = {
             "site_visits": visits,
             "replication_steps": steps,
             "replicas_created": replicas_created,
             "site_order": self._site_order,
             "benefit_evaluations": benefit_evaluations,
-            "evaluation_path": (
-                "incremental" if self._incremental else "full"
-            ),
-        }
-        return scheme, stats
-
-
-    # ------------------------------------------------------------------ #
-    def _solve_sparse(
-        self,
-        instance,
-        model: CostModel,
-        tracer,
-    ) -> Tuple[ReplicationScheme, Dict[str, object]]:
-        """Memory-bounded greedy scan over a sparse problem.
-
-        Identical scan mechanics (candidate lists, round-robin cursor,
-        pruning, tie-breaks) and identical benefit arithmetic to the
-        legacy dense path — read/write counts are gathered from the CSR
-        rows instead of dense matrix rows, which is exact, so the
-        resulting scheme matches the densified run bit for bit.  Peak
-        extra memory is one ``(M, N)`` float64 nearest-distance table
-        plus two boolean matrices; the dense ``(M, N)`` int64 count
-        matrices are never built, and neither is the evaluator's
-        four-table two-nearest state.
-        """
-        ledger = current_ledger()
-        m, n = instance.num_sites, instance.num_objects
-        cost = instance.cost
-        sizes = instance.sizes
-        reads = instance.reads
-        writes = instance.writes
-        primaries = instance.primaries
-        total_writes = writes.column_sums()
-        uf = self._update_fraction
-
-        scheme = ReplicationScheme.primary_only(instance)
-        remaining = scheme.remaining_capacity()
-
-        # With only primaries placed, SN[:, k] == SP_k.  Advanced
-        # indexing yields a fresh array, updated in place per placement
-        # exactly like the legacy path's table (no replicator-id table:
-        # the scan only ever consumes the distances).
-        nearest_cost = cost[:, primaries]
-
-        candidates = ~scheme.matrix.copy()
-        active = [i for i in range(m) if candidates[i].any()]
-
-        steps = 0
-        visits = 0
-        replicas_created = 0
-        benefit_evaluations = 0
-        cursor = 0
-
-        while active:
-            visits += 1
-            if self._site_order == ORDER_RANDOM:
-                pos = int(self._rng.integers(len(active)))
-            else:
-                pos = cursor % len(active)
-            site = active[pos]
-
-            cand = candidates[site]
-            objs = np.nonzero(cand)[0]
-            # Benefit of each candidate, in the legacy path's exact
-            # operand order — the CSR rows densify to the same integers
-            # the dense matrices hold.
-            reads_row = reads.row_dense(site)
-            writes_row = writes.row_dense(site)
-            read_gain = reads_row[objs] * nearest_cost[site, objs]
-            other_writes = total_writes[objs] - writes_row[objs]
-            update_cost = uf * other_writes * cost[site, primaries[objs]]
-            benefit = read_gain - update_cost
-            benefit_evaluations += int(objs.size)
-
-            fits = sizes[objs] <= remaining[site] + 1e-9
-            viable = (benefit > 0.0) & fits
-
-            dead = objs[(benefit <= 0.0) | ~fits]
-            candidates[site, dead] = False
-
-            if viable.any():
-                steps += 1
-                viable_objs = objs[viable]
-                best = int(viable_objs[np.argmax(benefit[viable])])
-                scheme.add_replica(site, best)
-                if tracer.enabled:
-                    tracer.event(
-                        "sra.place",
-                        site=site,
-                        obj=best,
-                        benefit=float(benefit[viable].max()),
-                        step=steps,
-                    )
-                if ledger.enabled:
-                    ledger.record(
-                        "add",
-                        obj=best,
-                        site=site,
-                        algorithm="sra",
-                        benefit=float(benefit[viable].max()),
-                        step=steps,
-                    )
-                replicas_created += 1
-                remaining[site] -= sizes[best]
-                candidates[site, best] = False
-                closer = cost[:, site] < nearest_cost[:, best]
-                nearest_cost[closer, best] = cost[closer, site]
-
-            if not candidates[site].any():
-                active.pop(pos)
-                if self._site_order == ORDER_ROUND_ROBIN and active:
-                    cursor = pos % len(active)
-            elif self._site_order == ORDER_ROUND_ROBIN:
-                cursor = (pos + 1) % len(active)
-
-        stats: Dict[str, object] = {
-            "site_visits": visits,
-            "replication_steps": steps,
-            "replicas_created": replicas_created,
-            "site_order": self._site_order,
-            "benefit_evaluations": benefit_evaluations,
-            "evaluation_path": "sparse",
         }
         return scheme, stats
 

@@ -1,14 +1,14 @@
 """The benchmark ledger: record wall-clock history, watch for regressions.
 
-The repo's performance claims (incremental pricing speedups, the sparse
-scale path, GA throughput) are only checkable over *time* — a single
-``BENCH_*.json`` artifact says what one commit did on one machine, not
-whether the next commit got slower.  This module adds the missing axis:
+The repo's performance claims (the sparse scale path, GA throughput)
+are only checkable over *time* — a single ``BENCH_*.json`` artifact says
+what one commit did on one machine, not whether the next commit got
+slower.  This module adds the missing axis:
 
-* :func:`write_bench_artifact` — the one writer both benchmark suites go
-  through, so ``BENCH_incremental.json`` and ``BENCH_scale.json`` share
-  a schema (``benchmark``/``algorithms``/``results``; earlier revisions
-  drifted between a scalar ``algorithm`` and a list).
+* :func:`write_bench_artifact` — the one writer the pytest benchmark
+  suites go through, so every ``BENCH_*.json`` artifact shares a schema
+  (``benchmark``/``algorithms``/``results``; earlier revisions drifted
+  between a scalar ``algorithm`` and a list).
   :func:`normalize_bench_artifact` upgrades old artifacts on read.
 * ``BENCH_history.jsonl`` — one JSON line per ``repro bench record``
   run: machine fingerprint, profile tier, and median-of-k wall-clock
@@ -151,7 +151,7 @@ def _bench_hill_climb_incremental() -> None:
         WorkloadSpec(num_sites=25, num_objects=50, capacity_ratio=0.25),
         rng=11,
     )
-    HillClimbing(rng=7, incremental=True).run(instance)
+    HillClimbing(rng=7).run(instance)
 
 
 def _bench_sim_replay() -> None:

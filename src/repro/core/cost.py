@@ -233,32 +233,6 @@ class CostModel:
         self._cache_insert(key, value)
         return value
 
-    def cache_lookup(self, obj: int, column: np.ndarray) -> Optional[float]:
-        """Probe the memo table for a column's cost (hit/miss counted).
-
-        Returns ``None`` on a miss (or when caching is disabled).  The
-        incremental chains use this with :meth:`cache_store` so their
-        cache traffic — and therefore :meth:`cache_info` — is identical
-        to pricing through :meth:`object_cost_cached`.
-        """
-        if self._cache_size == 0:
-            return None
-        key = (obj, np.packbits(np.asarray(column, dtype=bool)).tobytes())
-        hit = self._cache.get(key)
-        if hit is not None:
-            self._cache.move_to_end(key)
-            self._record_hit()
-            return hit
-        self._record_miss()
-        return None
-
-    def cache_store(self, obj: int, column: np.ndarray, value: float) -> None:
-        """Insert an externally priced column cost into the memo table."""
-        if self._cache_size == 0:
-            return
-        key = (obj, np.packbits(np.asarray(column, dtype=bool)).tobytes())
-        self._cache_insert(key, float(value))
-
     def _record_hit(self) -> None:
         self._hits += 1
         if self._metrics is not None:
@@ -391,9 +365,7 @@ class CostModel:
         """Price one column through the batched kernel (cache-aware).
 
         Bit-identical to :meth:`object_costs_batch` on a single-row stack
-        but without opening a trace span; the GA delta chains use it so
-        chained and batch-evaluated offspring share one kernel (and one
-        cache) and totals stay bit-identical either way.
+        but without opening a trace span.
         """
         column = np.asarray(column, dtype=bool)
         return float(self._timed_batch(obj, column[None, :], 1)[0])

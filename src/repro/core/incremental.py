@@ -24,8 +24,7 @@ maintains, per object:
 Deltas are **exact**, not estimates: every value is computed with the
 same arithmetic expressions (same operand order, same reductions) as
 ``CostModel._object_cost``, so evaluator costs are bit-identical to the
-full recompute and algorithms produce identical schemes whichever path
-they price moves through.  The property suite pins this equality against
+full recompute.  The property suite pins this equality against
 :func:`~repro.core.cost.reference_total_cost`.
 
 Consistency with the wrapped scheme is listener-based: the evaluator
@@ -696,113 +695,11 @@ def _adapter_cost(
     return read_term + nonrep_writes + rep_writes
 
 
-class ObjectColumnState:
-    """Chained evaluation of one object's replica column (micro-GA).
-
-    AGRA's micro-GA evolves a single object's length-``M`` replica
-    column; offspring differ from their parent by a handful of bit
-    flips.  This state keeps the column's two-nearest structure so a
-    child's exact ``V_k`` is obtained by applying the flip diff —
-    O(flips * M) — instead of a from-scratch nearest scan.
-
-    Pricing goes through the model's memo table
-    (:meth:`CostModel.cache_lookup` / :meth:`CostModel.cache_store`), so
-    the returned values *and* the cache hit/miss accounting are
-    identical to pricing every column with
-    :meth:`CostModel.object_cost_cached`; the chain only replaces the
-    nearest scan that a cache miss would otherwise pay.
-
-    ``value`` is the last evaluated column's exact ``V_k`` (``None``
-    until the first :meth:`evaluate`).
-    """
-
-    def __init__(
-        self, model: CostModel, obj: int, column: np.ndarray
-    ) -> None:
-        self._model = model
-        self._obj = obj
-        self._cost = model.instance.cost
-        col = np.asarray(column, dtype=bool).copy()
-        reps = np.flatnonzero(col)
-        if reps.size == 0:
-            raise ValidationError(
-                f"object {obj} column has no replicators"
-            )
-        self._column = col
-        self._d1, self._n1, self._d2, self._n2 = _two_nearest(
-            self._cost, reps
-        )
-        self.value: Optional[float] = None
-
-    def clone(self) -> "ObjectColumnState":
-        new = ObjectColumnState.__new__(ObjectColumnState)
-        new._model = self._model
-        new._obj = self._obj
-        new._cost = self._cost
-        new._column = self._column.copy()
-        new._d1 = self._d1.copy()
-        new._n1 = self._n1.copy()
-        new._d2 = self._d2.copy()
-        new._n2 = self._n2.copy()
-        new.value = self.value
-        return new
-
-    def evaluate(self, column: np.ndarray) -> float:
-        """Chain the state to ``column`` and return its exact ``V_k``."""
-        col = np.asarray(column, dtype=bool)
-        added = np.flatnonzero(col & ~self._column)
-        dropped = np.flatnonzero(self._column & ~col)
-        for site in added:
-            self._apply_add(int(site))
-        if dropped.size:
-            self._column[dropped] = False
-            affected = np.flatnonzero(
-                np.isin(self._n1, dropped) | np.isin(self._n2, dropped)
-            )
-            if affected.size:
-                reps = np.flatnonzero(self._column)
-                d1, n1, d2, n2 = _two_nearest(
-                    self._cost, reps, rows=affected
-                )
-                self._d1[affected] = d1
-                self._n1[affected] = n1
-                self._d2[affected] = d2
-                self._n2[affected] = n2
-        # Probe the memo table first — exactly like object_cost_cached
-        # does — and fall back to the chained formula only on a miss, so
-        # values and cache counters match the uncached path bit for bit.
-        model = self._model
-        cached = model.cache_lookup(self._obj, self._column)
-        if cached is not None:
-            self.value = cached
-        else:
-            self.value = _adapter_cost(
-                model, self._obj, self._column, self._d1
-            )
-            model.cache_store(self._obj, self._column, self.value)
-        return self.value
-
-    def _apply_add(self, site: int) -> None:
-        self._column[site] = True
-        c = np.ascontiguousarray(self._cost[:, site])
-        d1, d2 = self._d1, self._d2
-        n1, n2 = self._n1, self._n2
-        closer = c < d1
-        d2[closer] = d1[closer]
-        n2[closer] = n1[closer]
-        d1[closer] = c[closer]
-        n1[closer] = site
-        second = ~closer & (c < d2)
-        d2[second] = c[second]
-        n2[second] = site
-
-
 __all__ = [
     "ADD",
     "DROP",
     "Move",
     "IncrementalCostEvaluator",
-    "ObjectColumnState",
     "eq5_benefit",
     "single_add_delta",
     "single_drop_delta",

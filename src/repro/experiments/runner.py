@@ -171,7 +171,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(
                     f"  SRA savings={report['savings_percent']:.2f}% "
                     f"replicas=+{report['extra_replicas']} "
-                    f"path={report['evaluation_path']} "
                     f"gen={report['generate_seconds']:.2f}s "
                     f"solve={report['solve_seconds']:.2f}s"
                 )

@@ -213,7 +213,6 @@ def run_scale(
         "d_prime": result.d_prime,
         "savings_percent": result.savings_percent,
         "extra_replicas": result.extra_replicas,
-        "evaluation_path": result.stats.get("evaluation_path"),
         "generate_seconds": generated - started,
         "solve_seconds": solved - generated,
         "seed": seed,

@@ -20,9 +20,6 @@ Capabilities
 ``supports_sparse``
     Accepts :class:`~repro.workload.sparse.SparseProblem` inputs
     natively (no densification).
-``supports_incremental``
-    Prices candidate moves through the exact delta evaluator instead of
-    full recomputes.
 ``supports_faults``
     Consumes a fault plan (degraded-mode execution).
 ``deterministic``
@@ -57,7 +54,6 @@ class SolverSpec:
     factory: Factory
     description: str = ""
     supports_sparse: bool = False
-    supports_incremental: bool = False
     supports_faults: bool = False
     deterministic: bool = True
     standalone: bool = True
@@ -70,7 +66,6 @@ class SolverSpec:
     def capabilities(self) -> Dict[str, bool]:
         return {
             "supports_sparse": self.supports_sparse,
-            "supports_incremental": self.supports_incremental,
             "supports_faults": self.supports_faults,
             "deterministic": self.deterministic,
             "standalone": self.standalone,
@@ -251,20 +246,17 @@ def _build_default_registry() -> SolverRegistry:
         factory=_make_sra,
         description="greedy benefit-ordered static replication (paper SRA)",
         supports_sparse=True,
-        supports_incremental=True,
     ))
     registry.register(SolverSpec(
         name="gra",
         factory=_make_gra,
         description="genetic replication algorithm (paper GRA)",
-        supports_incremental=True,
         deterministic=False,
     ))
     registry.register(SolverSpec(
         name="agra",
         factory=_make_agra,
         description="adaptive micro-GA + mini-GRA refinement (paper AGRA)",
-        supports_incremental=True,
         deterministic=False,
         standalone=False,
     ))
@@ -272,14 +264,12 @@ def _build_default_registry() -> SolverRegistry:
         name="hill-climbing",
         factory=_make_hill_climbing,
         description="steepest-descent local search over sampled moves",
-        supports_incremental=True,
         deterministic=False,
     ))
     registry.register(SolverSpec(
         name="annealing",
         factory=_make_annealing,
         description="Metropolis local search with geometric cooling",
-        supports_incremental=True,
         deterministic=False,
     ))
     registry.register(SolverSpec(

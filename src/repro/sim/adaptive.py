@@ -106,13 +106,12 @@ class AdaptiveReplicationLoop:
         or before epoch ``i`` apply at the start of epoch ``i``.  While
         sites are down, AGRA reallocation onto them is deferred and
         re-realised once they recover.
-    use_evaluator:
-        Keep one live :class:`~repro.core.incremental.
-        IncrementalCostEvaluator` attached to the deployed scheme across
-        all epochs (default): scheme realisations update it through the
-        change listener and each epoch's drifted patterns are adopted
-        with ``rebind_model`` (O(M*N)) instead of pricing the deployed
-        scheme from scratch.  Results are bit-identical either way.
+
+    The deployed scheme is priced by one live
+    :class:`~repro.core.incremental.IncrementalCostEvaluator` kept across
+    all epochs: scheme realisations update it through the change listener
+    and each epoch's drifted patterns are adopted with ``rebind_model``
+    (O(M*N)) instead of pricing the deployed scheme from scratch.
     """
 
     def __init__(
@@ -126,7 +125,6 @@ class AdaptiveReplicationLoop:
         seed_matrices: Sequence[np.ndarray] = (),
         rng: SeedLike = None,
         fault_plan: Optional[FaultPlan] = None,
-        use_evaluator: bool = True,
     ) -> None:
         if threshold < 0:
             raise ValidationError(f"threshold must be >= 0, got {threshold}")
@@ -148,7 +146,6 @@ class AdaptiveReplicationLoop:
         # A target scheme whose realisation was cut short by failures;
         # retried at every epoch boundary until it fully lands.
         self._pending: Optional[ReplicationScheme] = None
-        self._use_evaluator = use_evaluator
         self._evaluator: Optional[IncrementalCostEvaluator] = None
 
     # ------------------------------------------------------------------ #
@@ -266,14 +263,11 @@ class AdaptiveReplicationLoop:
     def _deployed_cost(self, model: CostModel) -> float:
         """``D`` of the deployed scheme under this epoch's patterns.
 
-        With the live evaluator the deployed scheme's per-object terms
-        are already maintained; adopting the epoch's model is one
+        The live evaluator already maintains the deployed scheme's
+        per-object terms; adopting the epoch's model is one
         ``rebind_model`` (the network is fixed across epochs — only
-        patterns drift).  Without it, a full recompute.  Both totals are
-        bit-identical.
+        patterns drift).
         """
-        if not self._use_evaluator:
-            return model.total_cost(self.system.scheme)
         if self._evaluator is None:
             # The evaluator must be born against the scheme's own
             # instance; the epoch's drifted patterns are adopted right

@@ -175,9 +175,8 @@ def evaluation_mix(summary: TraceSummary) -> Optional[Dict[str, object]]:
 
     Full pricing shows up as ``cost.batch`` spans (one per batched
     kernel call, ``rows`` columns each).  Incremental pricing shows up
-    as ``cost.delta`` events: GA delta chains emit one per batched
-    generation carrying ``chained``, and live evaluators emit a sampled
-    event every ~1024 priced deltas carrying cumulative
+    as ``cost.delta`` events: live evaluators emit a sampled event
+    every ~1024 priced deltas carrying cumulative
     ``priced``/``applied``/``reverted`` counters (so those columns are
     lower bounds, refreshed per sample).  ``None`` when the trace holds
     neither.
@@ -188,7 +187,6 @@ def evaluation_mix(summary: TraceSummary) -> Optional[Dict[str, object]]:
         if node.name == COST_BATCH_SPAN:
             batch_calls += 1
             batch_rows += int(node.attrs.get("rows", 0) or 0)
-    chained = 0
     priced = applied = reverted = 0
     delta_events = 0
     for event in summary.events:
@@ -196,7 +194,6 @@ def evaluation_mix(summary: TraceSummary) -> Optional[Dict[str, object]]:
             continue
         delta_events += 1
         attrs = dict(event.get("attrs") or {})
-        chained += int(attrs.get("chained", 0) or 0)
         # Cumulative per-evaluator counters: the latest sample carries
         # the running total, so keep the maximum seen.
         priced = max(priced, int(attrs.get("priced", 0) or 0))
@@ -208,7 +205,6 @@ def evaluation_mix(summary: TraceSummary) -> Optional[Dict[str, object]]:
         "full_batch_calls": batch_calls,
         "full_columns": batch_rows,
         "delta_events": delta_events,
-        "chained_columns": chained,
         "priced_deltas": priced,
         "applied_moves": applied,
         "reverted_moves": reverted,
@@ -313,8 +309,7 @@ def render_summary(
             f"columns={mix['full_columns']}"
         )
         lines.append(
-            f"  incremental: chained_columns={mix['chained_columns']} "
-            f"priced_deltas>={mix['priced_deltas']} "
+            f"  incremental: priced_deltas>={mix['priced_deltas']} "
             f"applied>={mix['applied_moves']} "
             f"reverted>={mix['reverted_moves']} "
             f"(events={mix['delta_events']}, sampled)"

@@ -293,8 +293,10 @@ class SparseProblem:
         primaries: np.ndarray,
     ) -> None:
         self._cost = np.ascontiguousarray(cost, dtype=float)
-        self._sizes = np.ascontiguousarray(sizes, dtype=np.int64)
-        self._capacities = np.ascontiguousarray(capacities, dtype=np.int64)
+        # Sizes and capacities are real-valued, as in DRPInstance;
+        # integer inputs stay exact in float64.
+        self._sizes = np.ascontiguousarray(sizes, dtype=float)
+        self._capacities = np.ascontiguousarray(capacities, dtype=float)
         self._primaries = np.ascontiguousarray(primaries, dtype=np.int64)
         m = self._cost.shape[0]
         n = self._sizes.shape[0]
@@ -338,7 +340,7 @@ class SparseProblem:
             site = int(over[0])
             raise ValidationError(
                 f"primary copies at site {site} need {load[site]:.0f} "
-                f"units but its capacity is {self._capacities[site]}"
+                f"units but its capacity is {self._capacities[site]:g}"
             )
         self._reads = reads
         self._writes = writes

@@ -116,7 +116,7 @@ def test_solve_trace_gra_spans_match_history(instance_file, tmp_path, capsys):
     records = read_trace(str(trace_path))["records"]
     generations = [r for r in records if r["name"] == "gra.generation"]
     # 5 generations + the seeded population = 6 spans, one per
-    # best_fitness_history entry
+    # convergence record
     assert len(generations) == 6
     assert sorted(r["attrs"]["index"] for r in generations) == list(range(6))
     assert all("best" in r["attrs"] for r in generations)

@@ -25,6 +25,18 @@ from repro.errors import ValidationError
 from repro.workload import SparseProblem, WorkloadSpec, generate_instance
 
 
+#: fractional sizes/capacities: site 1 has room for one 1.5-unit object
+#: (2.9 < 3.0), so SRA places one replica and leaves 5 reads * 1.5 * 1
+FRACTIONAL = DRPInstance(
+    cost=np.array([[0.0, 1.0], [1.0, 0.0]]),
+    sizes=np.array([1.5, 1.5]),
+    capacities=np.array([3.0, 2.9]),
+    reads=np.array([[0, 0], [5, 5]]),
+    writes=np.zeros((2, 2), dtype=int),
+    primaries=np.array([0, 0]),
+)
+
+
 @pytest.fixture(scope="module")
 def dense_instance() -> DRPInstance:
     return generate_instance(
@@ -155,17 +167,22 @@ class TestAlgorithmsOnSparse:
     def test_sra_sparse_matches_both_dense_paths(
         self, dense_instance, sparse_problem
     ):
-        sparse_result = SRA().run(sparse_problem)
-        incremental = SRA().run(dense_instance)
-        legacy = SRA(incremental=False).run(dense_instance)
-        assert sparse_result.stats["evaluation_path"] == "sparse"
-        assert np.array_equal(
-            sparse_result.scheme.matrix, incremental.scheme.matrix
-        )
-        assert np.array_equal(
-            sparse_result.scheme.matrix, legacy.scheme.matrix
-        )
-        assert sparse_result.total_cost == incremental.total_cost
+        """Sparse SRA equals dense SRA on the generated instance and on a
+        fractional-size one, whose sizes the sparse problem must keep."""
+        fractional = SparseProblem.from_instance(FRACTIONAL)
+        assert np.array_equal(fractional.sizes, FRACTIONAL.sizes)
+        assert np.array_equal(fractional.capacities, FRACTIONAL.capacities)
+        for dense, sparse in (
+            (dense_instance, sparse_problem),
+            (FRACTIONAL, fractional),
+        ):
+            sparse_result = SRA().run(sparse)
+            dense_result = SRA().run(dense)
+            assert np.array_equal(
+                sparse_result.scheme.matrix, dense_result.scheme.matrix
+            )
+            assert sparse_result.total_cost == dense_result.total_cost
+        assert SRA().run(fractional).total_cost == 7.5
 
     def test_sra_sparse_total_cost_is_dense_exact(
         self, dense_instance, sparse_problem

@@ -35,20 +35,20 @@ def test_best_fitness_history_monotone(small_instance):
 
 
 def test_stats_single_source_with_deprecated_history_keys(small_instance):
-    """The legacy list keys derive from convergence_records and warn."""
+    """Convergence lives only in convergence_records; the deprecated
+    ``*_fitness_history`` keys are gone."""
     stats = GRA(FAST, rng=6).run(small_instance).stats
-    # one source of truth: the eager duplicate lists are gone
-    assert "best_fitness_history" not in stats.keys()
-    assert "mean_fitness_history" not in stats.keys()
     records = stats["convergence_records"]
-    with pytest.warns(DeprecationWarning, match="best_fitness_history"):
-        legacy = stats["best_fitness_history"]
-    assert legacy == [r["best_fitness"] for r in records]
+    assert stats.history("best_fitness") == [
+        r["best_fitness"] for r in records
+    ]
     assert stats.history("mean_fitness") == [
         r["mean_fitness"] for r in records
     ]
-    with pytest.raises(KeyError):
-        stats["no_such_key"]
+    for key in ("best_fitness_history", "mean_fitness_history"):
+        assert key not in stats.keys()
+        with pytest.raises(KeyError):
+            stats[key]
 
 
 def test_initial_population_valid_and_sized(small_instance):

@@ -33,7 +33,7 @@ def test_default_registry_contents_and_capabilities():
     assert "agra" not in standalone and "adr-tree" not in standalone
     assert {"sra", "gra", "optimal"} <= set(standalone)
     caps = registry.get("sra").capabilities
-    assert caps["supports_incremental"] and caps["deterministic"]
+    assert caps["supports_sparse"] and caps["deterministic"]
 
 
 def test_unknown_names_and_capabilities_error_clearly():
