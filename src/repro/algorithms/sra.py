@@ -16,14 +16,16 @@ we require strictly positive benefit, which is what the prose specifies
 ("the benefit value is positive") and avoids wasting capacity on
 do-nothing replicas.
 
-The implementation is vectorised: a site visit costs ``O(N)`` numpy work,
-matching the paper's ``O(M + N)`` per-iteration bound up to constant
-factors, for an overall ``O(M^2 N + M N^2)``.
+The implementation is vectorised and keeps each site's candidate list
+compact: a site's first visit costs ``O(N)`` numpy work, every later one
+``O(|L_i|)`` plus ``O(M)`` for the ``SN`` update of a placement, within
+the paper's ``O(M + N)`` per-iteration bound, for an overall
+``O(M^2 N + M N^2)``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -99,12 +101,16 @@ class SRA(ReplicationAlgorithm):
     ) -> Tuple[ReplicationScheme, Dict[str, object]]:
         """One greedy scan for dense and sparse problems alike.
 
-        The only difference between the two is how a site's read/write
-        row is fetched: a view of the dense count matrix, or the CSR row
-        densified to the same integers.  The benefit arithmetic below is
-        therefore identical, and a sparse problem yields the densified
-        run's scheme bit for bit.  Peak extra memory is one ``(M, N)``
-        float64 nearest-distance table plus two boolean matrices.
+        A site's candidate list ``L_i`` is kept compact: on the site's
+        first visit its candidates (every object it does not hold) are
+        gathered once with their read counts, sizes and the constant
+        Eq. 5 update term, and each later visit evaluates and compresses
+        only the survivors, so it costs ``O(|L_i|)``.  Dense and sparse
+        problems differ only in how that first row is fetched (a view of
+        the dense count matrix, or the CSR row densified to the same
+        integers), so a sparse problem yields the densified run's scheme
+        bit for bit.  Peak extra memory is one ``(N, M)`` float64
+        nearest-distance table plus the compact lists.
         """
         ledger = current_ledger()
         m = instance.num_sites
@@ -124,15 +130,20 @@ class SRA(ReplicationAlgorithm):
         scheme = ReplicationScheme.primary_only(instance)
         remaining = scheme.remaining_capacity()
 
-        # SN distances: with only primaries placed, SN[:, k] == SP_k.
-        # Advanced indexing yields a fresh array, updated in place per
-        # placement (the scan only ever consumes the distances).
-        nearest_cost = cost[:, primaries]
+        # C^T as a copy: cost_t[j] is the column C(., j) laid out
+        # contiguously, even for merely near-symmetric cost matrices.
+        cost_t = np.ascontiguousarray(cost.T)
+        # SN distances, object-major: nearest[k, i] = C(i, SN_ik).  With
+        # only primaries placed, SN_ik == SP_k.
+        nearest = cost_t[primaries]
 
-        # Candidate matrix: L_i as rows.  Objects already held (primaries)
-        # are not candidates.
-        candidates = ~scheme.matrix.copy()
-        active = [i for i in range(m) if candidates[i].any()]
+        # Per-site compact candidate state (ids ascending, and a (3, L)
+        # stack of read counts, sizes and update terms), built on the
+        # site's first visit.  Objects already held (primaries) are not
+        # candidates, so a site holding every primary has nothing to do.
+        state: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * m
+        held = np.bincount(primaries, minlength=m)
+        active = [i for i in range(m) if held[i] < instance.num_objects]
 
         steps = 0
         visits = 0
@@ -148,26 +159,32 @@ class SRA(ReplicationAlgorithm):
                 pos = cursor % len(active)
             site = active[pos]
 
-            cand = candidates[site]
-            objs = np.nonzero(cand)[0]
+            if state[site] is None:
+                objs = np.flatnonzero(primaries != site)
+                other_writes = total_writes[objs] - write_row(site)[objs]
+                update_cost = uf * other_writes * cost[site, primaries[objs]]
+                # Stacking casts a sparse row's int64 counts to float64,
+                # the cast an int64 x float64 product applies anyway, so
+                # the benefits below are unchanged bit for bit.
+                columns = np.vstack(
+                    (read_row(site)[objs], sizes[objs], update_cost)
+                )
+            else:
+                objs, columns = state[site]
             # Benefit of each candidate (Eq. 5, already divided by o_k).
-            read_gain = read_row(site)[objs] * nearest_cost[site, objs]
-            other_writes = total_writes[objs] - write_row(site)[objs]
-            update_cost = uf * other_writes * cost[site, primaries[objs]]
-            benefit = read_gain - update_cost
+            benefit = columns[0] * nearest[objs, site] - columns[2]
             benefit_evaluations += int(objs.size)
 
-            fits = sizes[objs] <= remaining[site] + 1e-9
-            viable = (benefit > 0.0) & fits
+            # Candidates with non-positive benefit, or that no longer fit,
+            # can never be replicated here any more: they are dropped.
+            keep = (benefit > 0.0) & (columns[1] <= remaining[site] + 1e-9)
+            viable = keep.nonzero()[0]
 
-            # Prune candidates that can never be replicated here any more.
-            dead = objs[(benefit <= 0.0) | ~fits]
-            candidates[site, dead] = False
-
-            if viable.any():
+            if viable.size:
                 steps += 1
-                viable_objs = objs[viable]
-                best = int(viable_objs[np.argmax(benefit[viable])])
+                chosen = int(viable[benefit[viable].argmax()])
+                best = int(objs[chosen])
+                keep[chosen] = False
                 scheme.add_replica(site, best)
                 if tracer.enabled:
                     # Eq. 5 benefit of the placement actually taken.
@@ -175,7 +192,7 @@ class SRA(ReplicationAlgorithm):
                         "sra.place",
                         site=site,
                         obj=best,
-                        benefit=float(benefit[viable].max()),
+                        benefit=float(benefit[chosen]),
                         step=steps,
                     )
                 if ledger.enabled:
@@ -184,26 +201,29 @@ class SRA(ReplicationAlgorithm):
                         obj=best,
                         site=site,
                         algorithm="sra",
-                        benefit=float(benefit[viable].max()),
+                        benefit=float(benefit[chosen]),
                         step=steps,
                     )
                 replicas_created += 1
                 remaining[site] -= sizes[best]
-                candidates[site, best] = False
                 # Update SN for the new replica's object at every site.
-                closer = cost[:, site] < nearest_cost[:, best]
-                nearest_cost[closer, best] = cost[closer, site]
+                np.minimum(nearest[best], cost_t[site], out=nearest[best])
                 # Objects that no longer fit at this site die lazily on the
                 # next visit; the capacity check above handles them.
 
-            if not candidates[site].any():
+            # ``keep`` now marks exactly the surviving candidates.
+            if viable.size > 1:
+                state[site] = (
+                    objs.compress(keep), columns.compress(keep, axis=1)
+                )
+                if self._site_order == ORDER_ROUND_ROBIN:
+                    cursor = (pos + 1) % len(active)
+            else:
                 active.pop(pos)
                 # Round-robin continues from the same position (the next
                 # site shifted into it).
                 if self._site_order == ORDER_ROUND_ROBIN and active:
                     cursor = pos % len(active)
-            elif self._site_order == ORDER_ROUND_ROBIN:
-                cursor = (pos + 1) % len(active)
 
         stats: Dict[str, object] = {
             "site_visits": visits,

@@ -133,6 +133,21 @@ def _bench_sra_solve() -> None:
     SRA().run(instance)
 
 
+def _bench_sra_scale_small() -> None:
+    from repro.algorithms.sra import SRA
+    from repro.workload.scale import (
+        SCALE_TIERS,
+        ScaleSpec,
+        generate_scale_problem,
+    )
+
+    sites, objects = SCALE_TIERS["small"]
+    problem = generate_scale_problem(
+        ScaleSpec(num_sites=sites, num_objects=objects), rng=11
+    )
+    SRA().run(problem)
+
+
 def _bench_gra_evolve() -> None:
     from repro.algorithms import GAParams, GRA
     from repro.workload import WorkloadSpec, generate_instance
@@ -189,6 +204,7 @@ def _bench_cost_batch() -> None:
 #: deterministic (fixed seeds), so only the *machine* varies run to run
 BENCH_SUITE: Dict[str, Callable[[], None]] = {
     "sra_solve": _bench_sra_solve,
+    "sra_scale_small": _bench_sra_scale_small,
     "gra_evolve": _bench_gra_evolve,
     "hill_climb_incremental": _bench_hill_climb_incremental,
     "sim_replay": _bench_sim_replay,

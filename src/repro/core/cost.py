@@ -93,6 +93,14 @@ class CostModel:
         self._total_write_weight = self._write_weight.sum(axis=0)
         # C(i, SP_k) for every (i, k), shape (M, N).
         self._cost_to_primary = instance.cost[:, instance.primaries]
+        # A dense model is a single object-column tile.
+        self._weights = (
+            self._read_weight,
+            self._write_weight,
+            self._cost_to_primary,
+            self._total_write_weight,
+        )
+        self._cost_t = np.ascontiguousarray(instance.cost.T)
         self._cache: "OrderedDict[Tuple[int, bytes], float]" = OrderedDict()
         self._cache_size = cache_size
         self._hits = 0
@@ -142,24 +150,41 @@ class CostModel:
     has_dense_weights = True
 
     # ------------------------------------------------------------------ #
-    # per-object weight columns (the kernels consume these, never the
-    # full matrices, so tile-backed subclasses can swap the storage)
+    # weight tiles: ``(read_w, write_w, to_primary, total_w)`` over a run
+    # of object columns; a dense model is one tile of all N columns
+    # ------------------------------------------------------------------ #
+    def _tile(self, obj: int):
+        """``(start, weights)`` of the tile holding ``obj``."""
+        return 0, self._weights
+
+    def _tiles(self):
+        """Every ``(start, stop, weights)`` tile, in object order."""
+        yield 0, self._instance.num_objects, self._weights
+
+    # ------------------------------------------------------------------ #
+    # per-object weight columns (the kernels consume these or whole
+    # tiles, never the full matrices, so tile-backed subclasses can swap
+    # the storage)
     # ------------------------------------------------------------------ #
     def read_weight_col(self, obj: int) -> np.ndarray:
         """Read weight column ``r_.k * o_k``, shape ``(M,)``."""
-        return self._read_weight[:, obj]
+        start, (read_w, _, _, _) = self._tile(obj)
+        return read_w[:, obj - start]
 
     def write_weight_col(self, obj: int) -> np.ndarray:
         """Scaled write weight column ``w_.k * o_k * uf``, shape ``(M,)``."""
-        return self._write_weight[:, obj]
+        start, (_, write_w, _, _) = self._tile(obj)
+        return write_w[:, obj - start]
 
     def cost_to_primary_col(self, obj: int) -> np.ndarray:
         """``C(., SP_k)`` column, shape ``(M,)``."""
-        return self._cost_to_primary[:, obj]
+        start, (_, _, to_primary, _) = self._tile(obj)
+        return to_primary[:, obj - start]
 
     def total_write_weight_of(self, obj: int) -> float:
         """Scalar ``o_k * uf * sum_x w_xk`` of one object."""
-        return self._total_write_weight[obj]
+        start, (_, _, _, total_w) = self._tile(obj)
+        return total_w[obj - start]
 
     # ------------------------------------------------------------------ #
     # per-object costs
@@ -172,15 +197,21 @@ class CostModel:
         primary must be a replicator; this is *not* re-checked here for
         speed — schemes enforce it structurally.
         """
+        start, weights = self._tile(obj)
+        return self._timed_cost(
+            np.asarray(column, dtype=bool), obj - start, weights
+        )
+
+    def _timed_cost(self, mask: np.ndarray, col: int, weights) -> float:
         if self._metrics is not None:
             with self._metrics.timer("cost.object_cost"):
-                return self._object_cost(obj, column)
-        return self._object_cost(obj, column)
+                return self._column_cost(mask, col, weights)
+        return self._column_cost(mask, col, weights)
 
-    def _object_cost(self, obj: int, column: np.ndarray) -> float:
-        mask = np.asarray(column, dtype=bool)
-        reps = np.nonzero(mask)[0]
-        cost = self._instance.cost
+    def _column_cost(self, mask: np.ndarray, col: int, weights) -> float:
+        """Eq. 4 NTC of tile column ``col`` under the replica ``mask``."""
+        read_w, write_w, to_primary, total_w = weights
+        reps = mask.nonzero()[0]
         # Reads: every site reads from its nearest replicator; replicator
         # rows contribute zero because min cost over reps includes self.
         # The weight column is copied contiguous before the dot: BLAS
@@ -189,18 +220,16 @@ class CostModel:
         # column at different strides — the copy pins every evaluation
         # path to the unit-stride kernel so costs stay bit-identical on
         # non-integer cost matrices.
-        nearest_cost = cost[:, reps].min(axis=1)
+        nearest_cost = self._cost_t[reps].min(axis=0)
         read_term = float(
-            np.ascontiguousarray(self.read_weight_col(obj)) @ nearest_cost
+            np.ascontiguousarray(read_w[:, col]) @ nearest_cost
         )
         # Writes: non-replicators ship their own writes to the primary;
         # replicators are charged for all writes (own + received updates).
-        to_primary = self.cost_to_primary_col(obj)
-        write_w = self.write_weight_col(obj)
-        nonrep_writes = float(write_w[~mask] @ to_primary[~mask])
-        rep_writes = float(
-            to_primary[mask].sum() * self.total_write_weight_of(obj)
-        )
+        to_primary = to_primary[:, col]
+        nonrep = ~mask
+        nonrep_writes = float(write_w[:, col][nonrep] @ to_primary[nonrep])
+        rep_writes = float(to_primary[mask].sum() * total_w[col])
         return read_term + nonrep_writes + rep_writes
 
     def object_cost_cached(
@@ -223,15 +252,22 @@ class CostModel:
         if key is None:
             key = np.packbits(np.asarray(column, dtype=bool)).tobytes()
         key = (obj, key)
-        hit = self._cache.get(key)
+        hit = self._cache_lookup(key)
         if hit is not None:
-            self._cache.move_to_end(key)
-            self._record_hit()
             return hit
-        self._record_miss()
         value = self.object_cost(obj, column)
         self._cache_insert(key, value)
         return value
+
+    def _cache_lookup(self, key: Tuple[int, bytes]) -> Optional[float]:
+        """A memoised cost (refreshing its recency) or ``None``; counted."""
+        hit = self._cache.get(key)
+        if hit is None:
+            self._record_miss()
+            return None
+        self._cache.move_to_end(key)
+        self._record_hit()
+        return hit
 
     def _record_hit(self) -> None:
         self._hits += 1
@@ -321,15 +357,11 @@ class CostModel:
         keys: list = []
         for idx in range(unique.shape[0]):
             key = (obj, np.packbits(unique[idx]).tobytes())
-            hit = self._cache.get(key) if self._cache_size else None
+            hit = self._cache_lookup(key) if self._cache_size else None
             if hit is None:
                 misses.append(idx)
                 keys.append(key)
-                if self._cache_size:
-                    self._record_miss()
             else:
-                self._cache.move_to_end(key)
-                self._record_hit()
                 unique_costs[idx] = hit
         cost = self._instance.cost
         m = self._instance.num_sites
@@ -389,16 +421,20 @@ class CostModel:
 
     def _compute_d_prime(self) -> None:
         m = self._instance.num_sites
+        primaries = self._instance.primaries
         per_object = np.empty(self._instance.num_objects)
         column = np.zeros(m, dtype=bool)
         with current_tracer().span(
             "cost.d_prime", objects=self._instance.num_objects
         ):
-            for k in range(self._instance.num_objects):
-                primary = int(self._instance.primaries[k])
-                column[primary] = True
-                per_object[k] = self.object_cost(k, column)
-                column[primary] = False
+            for start, stop, weights in self._tiles():
+                for k in range(start, stop):
+                    primary = primaries[k]
+                    column[primary] = True
+                    per_object[k] = self._timed_cost(
+                        column, k - start, weights
+                    )
+                    column[primary] = False
         self._d_prime_per_object = per_object
 
     # ------------------------------------------------------------------ #
@@ -416,22 +452,33 @@ class CostModel:
         return mat
 
     def total_cost(self, scheme: SchemeLike, cached: bool = True) -> float:
-        """``D(X)`` — Eq. 4 summed over all objects."""
+        """``D(X)`` — Eq. 4 summed over all objects.
+
+        One walk over the weight tiles; each object is looked up in,
+        priced for and inserted into the memo exactly as
+        :meth:`object_cost_cached` would, in object order.
+        """
         mat = self._as_matrix(scheme)
-        if cached and isinstance(scheme, ReplicationScheme):
+        if isinstance(scheme, ReplicationScheme):
             # Scheme-owned digests replace the per-lookup packbits key.
-            return float(
-                sum(
-                    self.object_cost_cached(
-                        k, mat[:, k], key=scheme.column_digest(k)
-                    )
-                    for k in range(self._instance.num_objects)
-                )
-            )
-        fn = self.object_cost_cached if cached else self.object_cost
-        return float(
-            sum(fn(k, mat[:, k]) for k in range(self._instance.num_objects))
-        )
+            digest = scheme.column_digest
+        else:
+            def digest(k: int) -> bytes:
+                return np.packbits(mat[:, k]).tobytes()
+        cached = cached and self._cache_size > 0
+        total = 0.0
+        for start, stop, weights in self._tiles():
+            for k in range(start, stop):
+                if cached:
+                    key = (k, digest(k))
+                    value = self._cache_lookup(key)
+                    if value is None:
+                        value = self._timed_cost(mat[:, k], k - start, weights)
+                        self._cache_insert(key, value)
+                else:
+                    value = self._timed_cost(mat[:, k], k - start, weights)
+                total += value
+        return float(total)
 
     def d_prime(self) -> float:
         """``D_prime`` — NTC of the primary-only allocation (cached)."""
@@ -568,7 +615,9 @@ class SparseCostModel(CostModel):
     producing a width-1 tile (a trailing remainder of one column is
     merged into the previous tile).  The per-object LRU memo, the batch
     kernel and the incremental delta machinery are all inherited
-    unchanged: they only consume the per-object column accessors.
+    unchanged: they only consume the per-object column accessors.  The
+    tile walk of ``total_cost`` and ``d_prime`` is inherited too; it
+    builds each tile once per pass through :meth:`_tiles`.
     """
 
     has_dense_weights = False
@@ -616,8 +665,9 @@ class SparseCostModel(CostModel):
         if len(starts) > 1 and n - starts[-1] == 1:
             starts.pop()
         self._tile_starts = starts
-        self._tiles: "OrderedDict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]" = OrderedDict()
+        self._tile_cache: "OrderedDict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]" = OrderedDict()
         self._max_tiles = 2
+        self._cost_t = np.ascontiguousarray(problem.cost.T)
 
     # ------------------------------------------------------------------ #
     # tile machinery
@@ -633,15 +683,20 @@ class SparseCostModel(CostModel):
             else:
                 hi = mid
         start = starts[lo]
-        entry = self._tiles.get(start)
+        entry = self._tile_cache.get(start)
         if entry is None:
             entry = self._build_tile(lo)
-            if len(self._tiles) >= self._max_tiles:
-                self._tiles.popitem(last=False)
-            self._tiles[start] = entry
+            if len(self._tile_cache) >= self._max_tiles:
+                self._tile_cache.popitem(last=False)
+            self._tile_cache[start] = entry
         else:
-            self._tiles.move_to_end(start)
+            self._tile_cache.move_to_end(start)
         return start, entry
+
+    def _tiles(self):
+        starts = self._tile_starts + [self._instance.num_objects]
+        for start, stop in zip(starts, starts[1:]):
+            yield start, stop, self._tile(start)[1]
 
     def _build_tile(self, pos: int):
         starts = self._tile_starts
@@ -673,25 +728,6 @@ class SparseCostModel(CostModel):
         if len(self._tile_starts) > 1:
             return self._tile_starts[1] - self._tile_starts[0]
         return self._instance.num_objects
-
-    # ------------------------------------------------------------------ #
-    # column accessors (everything above them is inherited)
-    # ------------------------------------------------------------------ #
-    def read_weight_col(self, obj: int) -> np.ndarray:
-        start, (rw, _, _, _) = self._tile(obj)
-        return rw[:, obj - start]
-
-    def write_weight_col(self, obj: int) -> np.ndarray:
-        start, (_, ww, _, _) = self._tile(obj)
-        return ww[:, obj - start]
-
-    def cost_to_primary_col(self, obj: int) -> np.ndarray:
-        start, (_, _, ctp, _) = self._tile(obj)
-        return ctp[:, obj - start]
-
-    def total_write_weight_of(self, obj: int) -> float:
-        start, (_, _, _, tw) = self._tile(obj)
-        return tw[obj - start]
 
     # The dense matrix properties would silently re-materialise the
     # O(M*N) arrays this model exists to avoid; fail loudly instead.

@@ -23,7 +23,7 @@ maintains, per object:
 
 Deltas are **exact**, not estimates: every value is computed with the
 same arithmetic expressions (same operand order, same reductions) as
-``CostModel._object_cost``, so evaluator costs are bit-identical to the
+``CostModel._column_cost``, so evaluator costs are bit-identical to the
 full recompute.  The property suite pins this equality against
 :func:`~repro.core.cost.reference_total_cost`.
 
@@ -219,7 +219,7 @@ class IncrementalCostEvaluator:
 
     def _bind_weights(self, model: CostModel) -> None:
         # Shared references, not copies: _column_cost must index these
-        # exactly like CostModel._object_cost does (same views, same
+        # exactly like CostModel._column_cost does (same views, same
         # strides) so the dot products take the same accumulation path
         # and results stay bit-identical to the full recompute.
         self._dense_weights = getattr(model, "has_dense_weights", True)
@@ -301,13 +301,13 @@ class IncrementalCostEvaluator:
     ) -> float:
         """Eq. 4 term from a nearest-distance row.
 
-        Mirrors ``CostModel._object_cost`` expression by expression —
+        Mirrors ``CostModel._column_cost`` expression by expression —
         same operand views, same strides, same reduction order — so the
         result is bit-identical to the full recompute whenever ``d1``
         equals the nearest-replica distances.
         """
         # read_term copies the weight column contiguous before the dot,
-        # matching CostModel._object_cost: vector layout steers BLAS
+        # matching CostModel._column_cost: vector layout steers BLAS
         # onto a different accumulation path, and this is the one term
         # where that matters.
         if self._dense_weights:
@@ -675,7 +675,7 @@ def single_drop_delta(
 def _adapter_cost(
     model: CostModel, obj: int, mask: np.ndarray, d1: np.ndarray
 ) -> float:
-    """``CostModel._object_cost`` with the nearest distances precomputed.
+    """``CostModel._column_cost`` with the nearest distances precomputed.
 
     Goes through the per-object column accessors, so it prices dense
     and sparse-backed (tiled) models alike: for dense models the

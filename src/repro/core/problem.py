@@ -22,7 +22,11 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.errors import InfeasibleProblemError, ValidationError
-from repro.utils.validation import check_matrix, check_vector
+from repro.utils.validation import (
+    check_cost_matrix,
+    check_matrix,
+    check_vector,
+)
 
 
 class DRPInstance:
@@ -43,16 +47,8 @@ class DRPInstance:
         primaries: np.ndarray,
         check_metric: bool = False,
     ) -> None:
-        cost = check_matrix("cost", cost, non_negative=True, dtype=float)
-        if cost.shape[0] != cost.shape[1]:
-            raise ValidationError(
-                f"cost matrix must be square, got shape {cost.shape}"
-            )
+        cost = check_cost_matrix(cost)
         num_sites = cost.shape[0]
-        if np.any(np.diagonal(cost) != 0.0):
-            raise ValidationError("cost diagonal (C(i,i)) must be zero")
-        if not np.allclose(cost, cost.T):
-            raise ValidationError("cost matrix must be symmetric (C(i,j)=C(j,i))")
 
         sizes = check_vector("sizes", sizes, non_negative=True, dtype=float)
         num_objects = sizes.shape[0]

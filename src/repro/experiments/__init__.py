@@ -20,11 +20,11 @@ from repro.experiments.figures import (
     FIGURES,
     run_figure,
 )
-from repro.experiments.scale import (
+from repro.experiments.scale import run_scale
+from repro.workload.scale import (
     SCALE_TIERS,
     ScaleSpec,
     generate_scale_problem,
-    run_scale,
 )
 from repro.experiments.harness import (
     InstanceAverages,

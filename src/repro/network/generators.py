@@ -24,6 +24,26 @@ from repro.network.topology import Topology
 from repro.utils.rng import SeedLike, as_generator
 
 
+def _mesh_links(
+    num_sites: int, min_cost: int, max_cost: int, rng: SeedLike
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, costs)`` of every link ``i < j`` of the complete graph.
+
+    Links come in :func:`numpy.triu_indices` (row-major) order and their
+    U[min_cost, max_cost] costs are drawn in one call, which consumes the
+    generator exactly as one scalar draw per link in that order would.
+    """
+    if num_sites < 1:
+        raise ValidationError(f"num_sites must be >= 1, got {num_sites}")
+    if not 0 < min_cost <= max_cost:
+        raise ValidationError(
+            f"need 0 < min_cost <= max_cost, got ({min_cost}, {max_cost})"
+        )
+    rows, cols = np.triu_indices(num_sites, k=1)
+    costs = as_generator(rng).integers(min_cost, max_cost + 1, size=rows.size)
+    return rows, cols, costs
+
+
 def random_mesh_topology(
     num_sites: int,
     min_cost: int = 1,
@@ -31,18 +51,10 @@ def random_mesh_topology(
     rng: SeedLike = None,
 ) -> Topology:
     """The paper's network: a complete graph with U[min_cost, max_cost] links."""
-    if num_sites < 1:
-        raise ValidationError(f"num_sites must be >= 1, got {num_sites}")
-    if not 0 < min_cost <= max_cost:
-        raise ValidationError(
-            f"need 0 < min_cost <= max_cost, got ({min_cost}, {max_cost})"
-        )
-    gen = as_generator(rng)
-    topo = Topology(num_sites)
-    for i in range(num_sites):
-        for j in range(i + 1, num_sites):
-            topo.add_link(i, j, int(gen.integers(min_cost, max_cost + 1)))
-    return topo
+    rows, cols, costs = _mesh_links(num_sites, min_cost, max_cost, rng)
+    return Topology(
+        num_sites, zip(rows.tolist(), cols.tolist(), costs.tolist())
+    )
 
 
 def paper_cost_matrix(
@@ -54,12 +66,17 @@ def paper_cost_matrix(
     """Section 6.1 cost matrix: random complete graph, shortest-path closed.
 
     Returns the symmetric matrix ``C`` with zero diagonal used directly by
-    :class:`repro.core.DRPInstance`.
+    :class:`repro.core.DRPInstance`.  The link costs are those of
+    :func:`random_mesh_topology` with the same generator, written straight
+    into the adjacency matrix.
     """
     if num_sites == 1:
         return np.zeros((1, 1))
-    topo = random_mesh_topology(num_sites, min_cost, max_cost, rng)
-    return floyd_warshall(topo.adjacency_matrix())
+    rows, cols, costs = _mesh_links(num_sites, min_cost, max_cost, rng)
+    adjacency = np.zeros((num_sites, num_sites))
+    adjacency[rows, cols] = costs
+    adjacency[cols, rows] = costs
+    return floyd_warshall(adjacency)
 
 
 def random_tree_topology(

@@ -89,7 +89,28 @@ def check_matrix(
     return arr.copy()
 
 
+def check_cost_matrix(cost: np.ndarray) -> np.ndarray:
+    """Validate and copy a DRP cost matrix ``C(i, j)`` as float64.
+
+    The one rule every problem constructor applies: finite, non-negative,
+    square, zero diagonal, and symmetric up to :func:`numpy.allclose`
+    (shortest-path closures computed in floating point may differ from
+    their transpose in the last bits).
+    """
+    cost = check_matrix("cost", cost, non_negative=True, dtype=float)
+    if cost.shape[0] != cost.shape[1]:
+        raise ValidationError(
+            f"cost matrix must be square, got shape {cost.shape}"
+        )
+    if np.any(np.diagonal(cost) != 0.0):
+        raise ValidationError("cost diagonal (C(i,i)) must be zero")
+    if not np.allclose(cost, cost.T):
+        raise ValidationError("cost matrix must be symmetric (C(i,j)=C(j,i))")
+    return cost
+
+
 __all__ = [
+    "check_cost_matrix",
     "check_positive",
     "check_fraction",
     "check_index",

@@ -32,6 +32,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.utils.validation import check_cost_matrix
 
 
 class SparseCounts:
@@ -278,9 +279,9 @@ class SparseProblem:
 
     Shapes mirror :class:`~repro.core.problem.DRPInstance`; ``reads`` and
     ``writes`` are :class:`SparseCounts`.  The network-side arrays are
-    validated exactly like the dense instance (square symmetric cost with
-    zero diagonal, positive sizes, in-range primaries, primary copies
-    that fit their sites).
+    validated exactly like the dense instance (the shared
+    :func:`~repro.utils.validation.check_cost_matrix` rule, positive
+    sizes, in-range primaries, primary copies that fit their sites).
     """
 
     def __init__(
@@ -292,7 +293,7 @@ class SparseProblem:
         writes: SparseCounts,
         primaries: np.ndarray,
     ) -> None:
-        self._cost = np.ascontiguousarray(cost, dtype=float)
+        self._cost = check_cost_matrix(cost)
         # Sizes and capacities are real-valued, as in DRPInstance;
         # integer inputs stay exact in float64.
         self._sizes = np.ascontiguousarray(sizes, dtype=float)
@@ -300,14 +301,6 @@ class SparseProblem:
         self._primaries = np.ascontiguousarray(primaries, dtype=np.int64)
         m = self._cost.shape[0]
         n = self._sizes.shape[0]
-        if self._cost.ndim != 2 or self._cost.shape != (m, m):
-            raise ValidationError(
-                f"cost must be square, got shape {self._cost.shape}"
-            )
-        if not np.array_equal(self._cost, self._cost.T):
-            raise ValidationError("cost matrix must be symmetric")
-        if np.any(np.diagonal(self._cost) != 0.0):
-            raise ValidationError("cost diagonal must be zero")
         if np.any(self._sizes <= 0):
             raise ValidationError("object sizes must be positive")
         if self._capacities.shape != (m,):

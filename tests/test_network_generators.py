@@ -15,7 +15,8 @@ from repro.network import (
     star_topology,
     waxman_topology,
 )
-from repro.network.shortest_paths import is_metric
+from repro.network.shortest_paths import floyd_warshall, is_metric
+from repro.network.topology import Topology
 
 
 def test_random_mesh_complete():
@@ -49,6 +50,35 @@ def test_paper_cost_matrix_is_metric_closure():
 
 def test_paper_cost_matrix_single_site():
     assert paper_cost_matrix(1).shape == (1, 1)
+
+
+def _per_link_mesh(num_sites, gen, min_cost=1, max_cost=10):
+    """The per-link loop the vectorised draw replaced: one scalar draw per
+    link ``i < j`` in row-major order, into a Topology."""
+    topo = Topology(num_sites)
+    for i in range(num_sites):
+        for j in range(i + 1, num_sites):
+            topo.add_link(i, j, int(gen.integers(min_cost, max_cost + 1)))
+    return topo
+
+
+@pytest.mark.parametrize("num_sites", [2, 3, 20, 51, 128])
+def test_vectorised_mesh_matches_per_link_draws(num_sites):
+    reference_gen = np.random.default_rng(num_sites)
+    reference = _per_link_mesh(num_sites, reference_gen, 2, 9)
+    gen = np.random.default_rng(num_sites)
+    assert random_mesh_topology(num_sites, 2, 9, rng=gen) == reference
+    # The generator is left in the same state: later draws are unchanged.
+    assert gen.integers(1 << 40) == reference_gen.integers(1 << 40)
+    assert gen.random() == reference_gen.random()
+
+    reference_gen = np.random.default_rng(num_sites)
+    expected = floyd_warshall(
+        _per_link_mesh(num_sites, reference_gen).adjacency_matrix()
+    )
+    gen = np.random.default_rng(num_sites)
+    assert np.array_equal(paper_cost_matrix(num_sites, rng=gen), expected)
+    assert gen.integers(1 << 40) == reference_gen.integers(1 << 40)
 
 
 def test_tree_topology_is_tree():

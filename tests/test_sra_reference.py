@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from repro.algorithms.sra import ORDER_RANDOM, ORDER_ROUND_ROBIN, SRA
-from repro.core import CostModel, DRPInstance
+from repro.core import CostModel, DRPInstance, ReplicationScheme
 from repro.core.cost import reference_total_cost
+from repro.workload.scale import ScaleSpec, generate_scale_problem
+from repro.obs.ledger import temporary_ledger
 from repro.workload import SparseProblem, WorkloadSpec, generate_instance
 
 #: site 1 fits one of the two 1.5-unit objects (2.9 < 3.0)
@@ -31,7 +33,8 @@ FRACTIONAL = DRPInstance(
 
 
 def naive_sra(instance, order, rng=None, update_fraction=1.0):
-    """Loop-based SRA; returns the replica matrix it builds."""
+    """Loop-based SRA; returns the replica matrix it builds and its
+    visit, benefit-evaluation and replica counts."""
     m, n = instance.num_sites, instance.num_objects
     cost = instance.cost.tolist()
     sizes = instance.sizes.tolist()
@@ -50,12 +53,17 @@ def naive_sra(instance, order, rng=None, update_fraction=1.0):
     active = [i for i in range(m) if candidates[i]]
 
     cursor = 0
+    stats = dict.fromkeys(
+        ("site_visits", "benefit_evaluations", "replicas_created"), 0
+    )
     while active:
         if order == ORDER_RANDOM:
             pos = int(rng.integers(len(active)))
         else:
             pos = cursor % len(active)
         site = active[pos]
+        stats["site_visits"] += 1
+        stats["benefit_evaluations"] += len(candidates[site])
 
         best, best_benefit = None, 0.0
         survivors = []
@@ -72,6 +80,7 @@ def naive_sra(instance, order, rng=None, update_fraction=1.0):
             if best is None or benefit > best_benefit:
                 best, best_benefit = k, benefit
         if best is not None:
+            stats["replicas_created"] += 1
             held[site][best] = True
             remaining[site] -= sizes[best]
             survivors.remove(best)
@@ -86,7 +95,7 @@ def naive_sra(instance, order, rng=None, update_fraction=1.0):
                 cursor = pos % len(active)
         elif order == ORDER_ROUND_ROBIN:
             cursor = (pos + 1) % len(active)
-    return np.array(held, dtype=bool)
+    return np.array(held, dtype=bool), stats
 
 
 def _cases():
@@ -117,7 +126,7 @@ CASES = _cases()
     ids=[case[0] for case in CASES],
 )
 def test_sra_matches_naive_reference(instance, update_fraction, order):
-    expected = naive_sra(
+    expected, _ = naive_sra(
         instance, order, np.random.default_rng(5), update_fraction
     )
     model = CostModel(instance, update_fraction=update_fraction)
@@ -133,3 +142,38 @@ def test_sra_matches_naive_reference(instance, update_fraction, order):
         ).run(problem)
         assert np.array_equal(result.scheme.matrix, expected)
         assert result.total_cost == expected_cost
+
+
+#: Sparse scale instances: six reads per site over 300 objects, so most
+#: of a site's candidates die on its first visit.
+SCALE_CASES = [
+    generate_scale_problem(
+        ScaleSpec(num_sites=24, num_objects=300, reads_per_site=6),
+        rng=seed,
+    )
+    for seed in (8, 9)
+]
+
+
+@pytest.mark.parametrize("order", [ORDER_ROUND_ROBIN, ORDER_RANDOM])
+@pytest.mark.parametrize("problem", SCALE_CASES, ids=["scale8", "scale9"])
+def test_sra_matches_naive_reference_on_scale_problem(problem, order):
+    dense = problem.to_instance()
+    expected, expected_stats = naive_sra(
+        dense, order, np.random.default_rng(5)
+    )
+    assert expected_stats["replicas_created"] > 0
+    for instance in (dense, problem):
+        with temporary_ledger() as ledger:
+            result = SRA(
+                site_order=order, rng=np.random.default_rng(5)
+            ).run(instance)
+        assert np.array_equal(result.scheme.matrix, expected)
+        for key, value in expected_stats.items():
+            assert result.stats[key] == value, key
+        # Replaying the recorded placements rebuilds the scheme.
+        replayed = ReplicationScheme.primary_only(dense)
+        for action, site, obj in ledger.replay_ops():
+            assert action == "add"
+            replayed.add_replica(site, obj)
+        assert np.array_equal(replayed.matrix, expected)

@@ -228,3 +228,67 @@ class TestSparseProblem:
                 writes=good.writes,
                 primaries=good.primaries,
             )
+
+
+def _edited_cost(cost, edit):
+    cost = cost.copy()
+    if edit == "near-symmetric":
+        cost[0, 1] += 1e-12
+    elif edit == "asymmetric":
+        cost[0, 1] += 1.0
+    elif edit == "diagonal":
+        cost[2, 2] = 1.0
+    elif edit == "negative":
+        cost[0, 1] = cost[1, 0] = -1.0
+    elif edit == "infinite":
+        cost[0, 1] = cost[1, 0] = np.inf
+    elif edit == "non-square":
+        cost = cost[:, :-1]
+    return cost
+
+
+@pytest.mark.parametrize(
+    "edit",
+    ["near-symmetric", "asymmetric", "diagonal", "negative", "infinite",
+     "non-square"],
+)
+def test_dense_and_sparse_share_one_cost_rule(dense_instance, edit):
+    cost = _edited_cost(dense_instance.cost, edit)
+    good = SparseProblem.from_instance(dense_instance)
+    outcomes = []
+    for build in (
+        lambda: DRPInstance(
+            cost, dense_instance.sizes, dense_instance.capacities,
+            dense_instance.reads, dense_instance.writes,
+            dense_instance.primaries,
+        ),
+        lambda: SparseProblem(
+            cost, good.sizes, good.capacities, good.reads, good.writes,
+            good.primaries,
+        ),
+    ):
+        try:
+            build()
+            outcomes.append("accepted")
+        except ValidationError:
+            outcomes.append("rejected")
+    expected = "accepted" if edit == "near-symmetric" else "rejected"
+    assert outcomes == [expected, expected]
+
+
+def test_near_symmetric_cost_solves_identically_dense_and_sparse(
+    dense_instance,
+):
+    from repro.algorithms.sra import SRA
+
+    cost = _edited_cost(dense_instance.cost, "near-symmetric")
+    dense = DRPInstance(
+        cost, dense_instance.sizes, dense_instance.capacities,
+        dense_instance.reads, dense_instance.writes, dense_instance.primaries,
+    )
+    sparse = SparseProblem.from_instance(dense)
+    expected = SRA().run(dense)
+    result = SRA().run(sparse)
+    assert np.array_equal(result.scheme.matrix, expected.scheme.matrix)
+    assert result.total_cost == expected.total_cost
+    assert result.d_prime == expected.d_prime
