@@ -11,13 +11,10 @@ Not figures of the paper — these quantify the paper's *design rationale*:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.algorithms import GRA, ReadOnlyGreedy, SRA
-from repro.core import CostModel
 from repro.experiments.harness import average_static_runs
 from repro.utils.tables import format_table
-from repro.workload import WorkloadSpec, generate_instance
+from repro.workload import WorkloadSpec
 
 SEED = 9_100
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.algorithms import SRA
 from repro.algorithms.gra.operators import mutate, two_point_crossover
-from repro.core import CostModel, ReplicationScheme
+from repro.core import CostModel
 from repro.network.generators import random_mesh_topology
 from repro.network.shortest_paths import all_pairs_dijkstra, floyd_warshall
 from repro.workload import WorkloadSpec, generate_instance, generate_trace

@@ -13,11 +13,8 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.algorithms import GRA, HillClimbing, SRA, SimulatedAnnealing
 from repro.analysis import analyze_convergence
-from repro.core import CostModel
 from repro.core.strategies import WriteStrategy, total_cost
 from repro.distributed import DistributedSRA
 from repro.experiments.harness import average_static_runs

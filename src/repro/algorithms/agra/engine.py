@@ -17,11 +17,11 @@ The result's scheme is the fittest member of the final population.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.algorithms.agra.micro_ga import MicroGAResult, run_micro_ga
+from repro.algorithms.agra.micro_ga import run_micro_ga
 from repro.algorithms.agra.params import AGRAParams, PAPER_AGRA_PARAMS
 from repro.algorithms.agra.transcription import transcribe_population
 from repro.algorithms.base import AlgorithmResult
@@ -33,10 +33,9 @@ from repro.core.cost import CostModel
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
-from repro.obs.ledger import current_ledger
+from repro.obs.holder import observers
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.timers import Stopwatch
-from repro.utils.tracing import current_tracer
 
 
 class AGRA:
@@ -151,8 +150,8 @@ class AGRA:
                 f"{mini_gra_generations}"
             )
         model = CostModel(instance, update_fraction=self._update_fraction)
-        tracer = current_tracer()
-        ledger = current_ledger()
+        tracer = observers().tracer
+        ledger = observers().ledger
         watch = Stopwatch()
         micro_evaluations = 0
         with watch, tracer.span(

@@ -16,17 +16,17 @@ object's replica degree is re-derived after each drop).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.algorithms.gra.population import Chromosome, Population
+from repro.algorithms.gra.population import Population
 from repro.core.benefit import deallocation_estimates_for_site
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ReproError, ValidationError
+from repro.obs.holder import observers
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.tracing import current_tracer
 
 
 def repair_capacity(
@@ -61,7 +61,7 @@ def repair_capacity(
             if not np.isnan(estimates[int(k)])
         ]
         used = float(scheme.used_storage()[site])
-        tracer = current_tracer()
+        tracer = observers().tracer
         for victim in order:
             if used <= capacities[site] + 1e-9:
                 break

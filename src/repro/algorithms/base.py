@@ -9,7 +9,6 @@ from typing import Dict, Optional
 from repro.core.cost import CostModel, cost_model_for
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
-from repro.utils.rng import SeedLike
 from repro.utils.timers import Stopwatch
 
 

@@ -10,8 +10,6 @@ operations.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.core.problem import DRPInstance

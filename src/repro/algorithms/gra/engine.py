@@ -39,9 +39,8 @@ from repro.algorithms.sra import ORDER_RANDOM, SRA
 from repro.core.cost import CostModel
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
-from repro.utils.profiler import current_profiler
+from repro.obs.holder import observers
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.tracing import current_tracer
 
 
 class GRAStats(dict):
@@ -186,8 +185,8 @@ class GRA(ReplicationAlgorithm):
         instance = population.instance
         params = self.params
         rng = self._rng
-        tracer = current_tracer()
-        profiler = current_profiler()
+        tracer = observers().tracer
+        profiler = observers().profiler
 
         with tracer.span(
             "gra.evolve",

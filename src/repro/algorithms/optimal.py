@@ -19,11 +19,11 @@ two prunes:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import AlgorithmResult, ReplicationAlgorithm
+from repro.algorithms.base import AlgorithmResult
 from repro.core.cost import CostModel
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme

@@ -34,9 +34,8 @@ from repro.core.cost import CostModel, cost_model_for
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
-from repro.obs.ledger import current_ledger
+from repro.obs.holder import observers
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.tracing import current_tracer
 
 #: site-visit orders supported by :class:`SRA`
 ORDER_ROUND_ROBIN = "round-robin"
@@ -85,7 +84,7 @@ class SRA(ReplicationAlgorithm):
     def _solve(
         self, instance: DRPInstance, model: CostModel
     ) -> Tuple[ReplicationScheme, Dict[str, object]]:
-        tracer = current_tracer()
+        tracer = observers().tracer
         with tracer.span(
             "sra.solve",
             sites=instance.num_sites,
@@ -112,7 +111,7 @@ class SRA(ReplicationAlgorithm):
         bit for bit.  Peak extra memory is one ``(N, M)`` float64
         nearest-distance table plus the compact lists.
         """
-        ledger = current_ledger()
+        ledger = observers().ledger
         m = instance.num_sites
         cost = instance.cost
         sizes = instance.sizes

@@ -12,7 +12,7 @@ the final quality the initial (SRA-seeded) population already had.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

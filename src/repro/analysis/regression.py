@@ -7,9 +7,8 @@ slower.  This module adds the missing axis:
 
 * :func:`write_bench_artifact` — the one writer the pytest benchmark
   suites go through, so every ``BENCH_*.json`` artifact shares a schema
-  (``benchmark``/``algorithms``/``results``; earlier revisions drifted
-  between a scalar ``algorithm`` and a list).
-  :func:`normalize_bench_artifact` upgrades old artifacts on read.
+  (``benchmark``/``algorithms``/``results``).
+  :func:`normalize_bench_artifact` fills in missing fields on read.
 * ``BENCH_history.jsonl`` — one JSON line per ``repro bench record``
   run: machine fingerprint, profile tier, and median-of-k wall-clock
   for every micro-benchmark in :data:`BENCH_SUITE`.
@@ -70,8 +69,7 @@ def write_bench_artifact(
 ) -> str:
     """Write a benchmark artifact in the unified schema; returns ``path``.
 
-    ``algorithms`` is always a list (the ``algorithm``-scalar variant is
-    retired).  With ``merge_on`` set to a result key, records already in
+    ``algorithms`` is always a list.  With ``merge_on`` set to a result key, records already in
     the file whose key value is not being rewritten are preserved — the
     scale suite uses this so the slow ``large`` tier accumulates next to
     the quick tiers instead of clobbering them.
@@ -103,19 +101,9 @@ def write_bench_artifact(
 def normalize_bench_artifact(
     payload: Dict[str, object],
 ) -> Dict[str, object]:
-    """Upgrade a benchmark artifact to the unified schema.
-
-    Accepts both historical shapes — ``{"algorithms": [...]}`` and the
-    scalar ``{"algorithm": "SRA"}`` the scale suite used to write — and
-    returns a copy carrying an ``algorithms`` list.
-    """
+    """A copy of a unified-schema artifact with both list fields present."""
     out = dict(payload)
-    if "algorithms" not in out:
-        algorithm = out.pop("algorithm", None)
-        out["algorithms"] = [algorithm] if algorithm is not None else []
-    else:
-        out.pop("algorithm", None)
-        out["algorithms"] = list(out["algorithms"])
+    out["algorithms"] = list(out.get("algorithms", []))
     out.setdefault("results", [])
     return out
 

@@ -10,7 +10,7 @@ and runtime per value with confidence intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.algorithms.gra.engine import GRA

@@ -66,6 +66,7 @@ from repro.io import (
     save_instance,
     save_scheme,
 )
+from repro.obs.holder import observers
 from repro.runtime import (
     add_runtime_options,
     context_from_args,
@@ -73,7 +74,6 @@ from repro.runtime import (
     runtime_session,
 )
 from repro.sim import FaultInjector, ReplicaSystem, Simulator
-from repro.utils.telemetry import current_sink
 from repro.version import __version__
 from repro.workload import WorkloadSpec, generate_instance, generate_instances
 from repro.workload.trace import generate_trace
@@ -410,7 +410,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         else:
             algorithm = solvers.create(args.algorithm, seed=args.seed)
         result = algorithm.run(instance, model)
-        sink = current_sink()
+        sink = observers().sink
         if sink.enabled:
             sink.set_gauge("repro_solve_total_cost", result.total_cost)
             sink.set_gauge("repro_solve_d_prime", result.d_prime)
@@ -469,7 +469,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     system.attach(simulator, trace)
     with runtime_session(args, ctx=ctx):
         simulator.run()
-        system.metrics.publish(current_sink())
+        system.metrics.publish(observers().sink)
     analytic = CostModel(instance).total_cost(scheme.matrix)
     measured = system.metrics.request_ntc
     faults_active = plan is not None and not plan.is_empty
@@ -701,7 +701,7 @@ def _cmd_conform_run(args: argparse.Namespace) -> int:
             registry=registry,
             progress=progress,
         )
-        sink = current_sink()
+        sink = observers().sink
         if sink.enabled:
             sink.set_gauge(
                 "repro_conform_scenarios", len(corpus.reports)

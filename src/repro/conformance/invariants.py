@@ -41,8 +41,10 @@ from repro.core.incremental import IncrementalCostEvaluator
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
-from repro.runtime.context import scoped_ledger, scoped_tracer
+from repro.obs.holder import observing
+from repro.obs.ledger import PlacementLedger
 from repro.runtime.registry import default_registry
+from repro.utils.tracing import Tracer
 
 #: relative tolerance for cross-algorithm cost comparisons (heuristic vs
 #: exact solver): the two sides sum the same per-object terms in
@@ -99,13 +101,13 @@ class ConformanceContext:
         # One traced solve serves both the scheme consumers and the
         # benefit-ordering invariant (sra.place events carry the Eq. 5
         # benefit of every placement actually taken).
-        with scoped_tracer() as tracer:
+        with observing(tracer=Tracer()) as obs:
             self._sra_result = default_registry().create(
                 "sra", update_fraction=self.update_fraction
             ).run(self.instance, self.model)
             self._place_events = [
                 dict(r["attrs"])
-                for r in tracer.records()
+                for r in obs.tracer.records()
                 if r.get("type") == "event" and r.get("name") == "sra.place"
             ]
 
@@ -414,7 +416,7 @@ def _check_distributed_equivalence(ctx: ConformanceContext) -> List[str]:
     # The protocol is message-instrumented; run it under a scratch
     # tracer so a caller's ``--trace`` session records the *scenario*,
     # not the oracle's internal replays.
-    with scoped_tracer():
+    with observing(tracer=Tracer()):
         report = default_registry().create(
             "distributed-sra", leader_site=0
         ).run(ctx.instance)
@@ -439,12 +441,12 @@ def _check_ledger_scheme_consistency(ctx: ConformanceContext) -> List[str]:
     # A fresh solve under a scratch ledger (and scratch tracer, so a
     # --trace session is untouched) captures the placement stream; SRA
     # is deterministic, so the replayed scheme must equal ctx.scheme.
-    with scoped_tracer(), scoped_ledger() as ledger:
+    with observing(tracer=Tracer(), ledger=PlacementLedger()) as obs:
         result = default_registry().create(
             "sra", update_fraction=ctx.update_fraction
         ).run(ctx.instance, ctx.model)
     replayed = ReplicationScheme.primary_only(ctx.instance)
-    for action, site, obj in ledger.replay_ops():
+    for action, site, obj in obs.ledger.replay_ops():
         if action == "add":
             replayed.add_replica(site, obj)
         else:

@@ -51,9 +51,9 @@ from repro.core.cost import CostModel, SparseCostModel, reference_total_cost
 from repro.core.incremental import IncrementalCostEvaluator
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
+from repro.obs.holder import observers
 from repro.runtime.registry import default_registry
 from repro.utils.metrics import MetricsRegistry
-from repro.utils.tracing import current_tracer
 from repro.workload.sparse import SparseProblem
 
 #: tile width the oracle forces on the sparse path.  Deliberately tiny:
@@ -291,7 +291,7 @@ def run_instance(
     scenario: Optional[Scenario] = None,
 ) -> ScenarioReport:
     """Full oracle verdict for one instance: all paths + all invariants."""
-    tracer = current_tracer()
+    tracer = observers().tracer
     with tracer.span(
         "conform.scenario",
         scenario=name,
@@ -346,7 +346,7 @@ def run_corpus(
     progress: Optional[Callable[[ScenarioReport], None]] = None,
 ) -> CorpusReport:
     """Run the oracle over a corpus, with tracing/telemetry along the way."""
-    tracer = current_tracer()
+    tracer = observers().tracer
     corpus = CorpusReport()
     with tracer.span("conform.corpus", scenarios=len(scenarios)) as span:
         for scenario in scenarios:

@@ -32,9 +32,8 @@ import numpy as np
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
+from repro.obs.holder import observers
 from repro.utils.metrics import MetricsRegistry
-from repro.utils.profiler import current_profiler
-from repro.utils.tracing import current_tracer
 from repro.utils.validation import check_fraction
 
 SchemeLike = Union[ReplicationScheme, np.ndarray]
@@ -289,7 +288,7 @@ class CostModel:
             if self._metrics is not None:
                 self._metrics.increment("cost.cache_evictions")
             if self._evictions % self._EVICTION_SAMPLE == 1:
-                tracer = current_tracer()
+                tracer = observers().tracer
                 if tracer.enabled:
                     # Sampled: one event per _EVICTION_SAMPLE evictions
                     # marks when (and how hard) the LRU starts thrashing.
@@ -323,7 +322,7 @@ class CostModel:
                 "columns must have shape (P, "
                 f"{self._instance.num_sites}), got {columns.shape}"
             )
-        tracer = current_tracer()
+        tracer = observers().tracer
         if tracer.enabled:
             # One span per batched evaluation: coarse enough to stay
             # cheap, fine enough to localise GA evaluation time.  The
@@ -332,7 +331,7 @@ class CostModel:
                 "cost.batch", obj=obj, rows=int(columns.shape[0])
             ):
                 result = self._timed_batch(obj, columns, chunk)
-                current_profiler().tick()
+                observers().profiler.tick()
                 return result
         return self._timed_batch(obj, columns, chunk)
 
@@ -424,7 +423,7 @@ class CostModel:
         primaries = self._instance.primaries
         per_object = np.empty(self._instance.num_objects)
         column = np.zeros(m, dtype=bool)
-        with current_tracer().span(
+        with observers().tracer.span(
             "cost.d_prime", objects=self._instance.num_objects
         ):
             for start, stop, weights in self._tiles():

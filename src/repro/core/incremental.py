@@ -48,7 +48,7 @@ import numpy as np
 from repro.core.cost import CostModel
 from repro.core.scheme import ReplicationScheme
 from repro.errors import StaleEvaluatorError, ValidationError
-from repro.utils.tracing import current_tracer
+from repro.obs.holder import observers
 
 #: move kinds understood by :meth:`IncrementalCostEvaluator.apply`
 ADD = "add"
@@ -553,7 +553,7 @@ class IncrementalCostEvaluator:
         self._n2[obj][affected] = r2
 
     def _trace_priced(self) -> None:
-        tracer = current_tracer()
+        tracer = observers().tracer
         if tracer.enabled:
             # Sampled: one event per _DELTA_SAMPLE priced deltas keeps
             # `repro trace` able to compare full-kernel vs incremental

@@ -9,7 +9,7 @@ incrementally so (b) can be checked in O(1) per mutation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.utils.tracing import current_tracer
+from repro.obs.holder import observers
 
 #: point-event names emitted by :meth:`MessageLog.record`
 SEND_EVENT = "msg.send"
@@ -113,7 +113,7 @@ class MessageLog:
             self.data_cost += cost
         else:
             self.control_cost += cost
-        tracer = current_tracer()
+        tracer = observers().tracer
         if not tracer.enabled:
             return
         src, dst = message.sender, message.receiver

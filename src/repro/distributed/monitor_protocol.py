@@ -30,9 +30,8 @@ from repro.core.problem import DRPInstance
 from repro.distributed.messages import Message, MessageKind, MessageLog
 from repro.distributed.retry import DEFAULT_RETRY_POLICY, RAISE, RetryPolicy
 from repro.errors import RetryExhaustedError, ValidationError
+from repro.obs.holder import observers
 from repro.sim.faults import FaultPlan, ProtocolFaults
-from repro.utils.telemetry import current_sink
-from repro.utils.tracing import current_tracer
 
 
 @dataclass
@@ -139,7 +138,7 @@ class MonitorProtocol:
         messages = 0
         counters = 0
         objects_reported: set = set()
-        with current_tracer().span(
+        with observers().tracer.span(
             "monitor.round", round=round_index, mode=mode
         ) as round_span:
             if faults is not None:
@@ -202,7 +201,7 @@ class MonitorProtocol:
                 and np.array_equal(self._known_writes, observed_writes)
             )
         )
-        sink = current_sink()
+        sink = observers().sink
         if sink.enabled:
             sink.set_gauge("repro_monitor_rounds", self._rounds)
             sink.set_gauge(
@@ -320,7 +319,7 @@ class MonitorProtocol:
                         payload=new_monitor,
                     )
                 )
-        current_tracer().event(
+        observers().tracer.event(
             "protocol.monitor_election",
             new_monitor=new_monitor,
             round=round_index,

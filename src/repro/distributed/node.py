@@ -10,7 +10,7 @@ another site's state directly; every interaction flows through messages.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 import numpy as np
 

@@ -60,11 +60,8 @@ from repro.distributed.messages import Message, MessageKind, MessageLog
 from repro.distributed.node import LeaderNode, SiteNode
 from repro.distributed.retry import DEFAULT_RETRY_POLICY, RAISE, RetryPolicy
 from repro.errors import ProtocolError, RetryExhaustedError, ValidationError
-from repro.obs.ledger import current_ledger
+from repro.obs.holder import observers
 from repro.sim.faults import FaultPlan, ProtocolFaults
-from repro.utils.profiler import current_profiler
-from repro.utils.telemetry import current_sink
-from repro.utils.tracing import current_tracer
 
 
 @dataclass
@@ -145,7 +142,7 @@ class DistributedSRA:
         write_totals = instance.writes.sum(axis=0).astype(float)
 
         if self.fault_plan is not None:
-            with current_ledger().scope(
+            with observers().ledger.scope(
                 algorithm="dsra", leader=self.leader_site
             ):
                 return self._run_hardened(
@@ -155,8 +152,8 @@ class DistributedSRA:
         # ------------------------------------------------------------- #
         # Fault-free path: the original protocol, byte for byte.
         # ------------------------------------------------------------- #
-        tracer = current_tracer()
-        ledger = current_ledger()
+        tracer = observers().tracer
+        ledger = observers().ledger
         # Phase 1: statistics distribution.
         with ledger.scope(algorithm="dsra", leader=self.leader_site), \
                 tracer.span("dsra.stats", sites=instance.num_sites):
@@ -178,7 +175,7 @@ class DistributedSRA:
         )
         rounds = 0
         replications = 0
-        profiler = current_profiler()
+        profiler = observers().profiler
         while not leader.done:
             rounds += 1
             profiler.tick()
@@ -238,7 +235,7 @@ class DistributedSRA:
         A no-op (one enabled check) when no sink is installed, so the
         protocol emulation itself stays cost-free to instrumentation.
         """
-        sink = current_sink()
+        sink = observers().sink
         if sink.enabled:
             sink.set_gauge("repro_dsra_token_rounds", report.token_rounds)
             sink.set_gauge("repro_dsra_replications", report.replications)
@@ -280,7 +277,7 @@ class DistributedSRA:
         if not node.exhausted:
             # Fetch source must be captured before the step updates SN.
             snapshot_nearest = node.nearest.copy()
-            with current_tracer().span("dsra.greedy", site=site):
+            with observers().tracer.span("dsra.greedy", site=site):
                 replicated = node.greedy_step()
             if replicated is not None:
                 source = int(snapshot_nearest[replicated])
@@ -303,7 +300,7 @@ class DistributedSRA:
                 payload=replicated,
             )
         )
-        ledger = current_ledger()
+        ledger = observers().ledger
         if ledger.enabled:
             ledger.record(
                 "add",
@@ -359,7 +356,7 @@ class DistributedSRA:
         leader: LeaderNode,
         write_totals: np.ndarray,
     ) -> DistributedSRAReport:
-        tracer = current_tracer()
+        tracer = observers().tracer
         faults = ProtocolFaults(self.fault_plan, instance.num_sites)
         policy = self.retry
         self._duplicates = 0
@@ -372,7 +369,7 @@ class DistributedSRA:
 
         def apply_transitions(time: float) -> None:
             nonlocal elections
-            ledger = current_ledger()
+            ledger = observers().ledger
             for kind, site in faults.advance_to(time):
                 if ledger.enabled:
                     ledger.record("fault", site=site, fault=kind, round=time)
@@ -458,7 +455,7 @@ class DistributedSRA:
         )
         rounds = 0
         replications = 0
-        profiler = current_profiler()
+        profiler = observers().profiler
         while not leader.done:
             rounds += 1
             profiler.tick()
@@ -475,7 +472,7 @@ class DistributedSRA:
             node = nodes[site]
             retries_before = self._retries
             backoff_before = self._backoff
-            with current_ledger().scope(round=rounds), tracer.span(
+            with observers().ledger.scope(round=rounds), tracer.span(
                 "dsra.round", round=rounds, site=site
             ) as round_span:
                 outcome = self._token_round(

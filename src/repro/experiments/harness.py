@@ -5,9 +5,8 @@ average NTC savings, execution time and replica count.  The helpers here
 do the same over any number of instances, with seeds derived
 deterministically from one master seed so every figure is reproducible.
 
-Runs fan out over worker processes when ``max_workers > 1`` (or when a
-process-wide default is installed via
-:func:`repro.experiments.parallel.configure` / ``$REPRO_PARALLEL``);
+Runs fan out over worker processes when ``max_workers > 1`` (or when the
+active run context sets ``max_workers`` / ``$REPRO_PARALLEL`` is set);
 results are bit-identical to the serial loop because every task derives
 the same :class:`numpy.random.SeedSequence` children — see
 :mod:`repro.experiments.parallel`.
@@ -22,11 +21,10 @@ import numpy as np
 
 from repro.algorithms.base import AlgorithmResult, ReplicationAlgorithm
 from repro.core.cost import CostModel
-from repro.core.problem import DRPInstance
 from repro.errors import ValidationError
-from repro.utils.metrics import MetricsRegistry, global_metrics
+from repro.obs.holder import observers
+from repro.utils.metrics import MetricsRegistry
 from repro.utils.rng import SeedLike, spawn_seeds
-from repro.utils.tracing import current_tracer
 from repro.workload.generator import generate_instance
 from repro.workload.spec import WorkloadSpec
 
@@ -79,9 +77,9 @@ def average_static_runs(
 
     ``max_workers`` > 1 fans the (instance x algorithm) grid over worker
     processes via :class:`~repro.experiments.parallel.ParallelRunner`;
-    ``None`` consults the process-wide default (serial unless configured).
+    ``None`` consults the active run context (serial unless configured).
     Results are bit-identical either way.  ``metrics``, when given (or
-    when a global registry is enabled), receives cache counters and
+    when the observer record carries a registry), receives cache counters and
     timers from every run, merged across workers.
     """
     from repro.experiments.parallel import ParallelRunner, resolve_max_workers
@@ -93,8 +91,8 @@ def average_static_runs(
         return ParallelRunner(max_workers=workers).average_static_runs(
             spec, factories, instances, seed=seed, metrics=metrics
         )
-    metrics = metrics if metrics is not None else global_metrics()
-    tracer = current_tracer()
+    metrics = metrics if metrics is not None else observers().metrics
+    tracer = observers().tracer
     results: Dict[str, List[AlgorithmResult]] = {
         label: [] for label in factories
     }
@@ -139,7 +137,7 @@ def chaos_replay_runs(
 
     Thin dispatcher over
     :meth:`~repro.experiments.parallel.ParallelRunner.chaos_replay_runs`;
-    worker-count resolution follows the same explicit > configured >
+    worker-count resolution follows the same explicit > active context >
     ``$REPRO_PARALLEL`` > serial chain as :func:`average_static_runs`,
     and results are bit-identical for any worker count.
     """

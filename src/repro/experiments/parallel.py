@@ -31,13 +31,12 @@ to a worker in the first place (unpicklable factory, e.g. a lambda) is
 retried **once, in-process** — the retry computes the same seeds, so the
 fall-back changes wall-clock only, never results.
 
-A process-wide default worker count can be installed with
-:func:`repro.runtime.context.configure_parallelism` (re-exported here as
-:func:`configure`; the CLI ``--parallel N`` flag routes through the run
-context) or the ``REPRO_PARALLEL`` environment variable;
-``average_static_runs`` picks it up when no explicit ``max_workers`` is
-passed, so every figure sweep inherits the fan-out without touching
-figure code.
+A default worker count comes from the active
+:class:`~repro.runtime.context.RunContext`'s ``max_workers`` (the CLI
+``--parallel N`` flag sets it) or the ``REPRO_PARALLEL`` environment
+variable; ``average_static_runs`` picks it up when no explicit
+``max_workers`` is passed, so every figure sweep inherits the fan-out
+without touching figure code.
 """
 
 from __future__ import annotations
@@ -57,17 +56,17 @@ from repro.algorithms.gra.params import GAParams
 from repro.algorithms.sra import SRA
 from repro.core.cost import CostModel
 from repro.errors import ValidationError
+from repro.obs.holder import observers
 from repro.runtime.context import (
     PARALLEL_ENV_VAR,
     RunContext,
     ambient_context,
-    configure_parallelism as configure,
     resolve_max_workers,
 )
 from repro.runtime.registry import default_registry
-from repro.utils.metrics import MetricsRegistry, Snapshot, global_metrics
+from repro.utils.metrics import MetricsRegistry, Snapshot
 from repro.utils.rng import SeedLike, spawn_seeds
-from repro.utils.tracing import Record, current_tracer
+from repro.utils.tracing import Record
 from repro.workload.generator import generate_instance
 from repro.workload.spec import WorkloadSpec
 
@@ -211,7 +210,7 @@ class ParallelRunner:
     ----------
     max_workers:
         Worker processes; ``None`` resolves via :func:`resolve_max_workers`
-        (explicit > :func:`configure` > ``$REPRO_PARALLEL`` > serial).
+        (explicit > the active context > ``$REPRO_PARALLEL`` > serial).
         ``1`` runs everything in-process with no executor at all, so CI
         and small runs behave exactly as before.
     task_timeout:
@@ -259,9 +258,9 @@ class ParallelRunner:
             )
         if not factories:
             raise ValidationError("need at least one algorithm factory")
-        metrics = metrics if metrics is not None else global_metrics()
+        metrics = metrics if metrics is not None else observers().metrics
         ctx = ambient_context()
-        tracer = current_tracer()
+        tracer = observers().tracer
         labels = list(factories)
         instance_seeds = spawn_seeds(seed, instances)
         tasks = [
@@ -328,7 +327,7 @@ class ParallelRunner:
                 f"instances must be >= 1, got {instances}"
             )
         ctx = ambient_context()
-        tracer = current_tracer()
+        tracer = observers().tracer
         tasks = [
             _ReplayTask(
                 spec=spec,
@@ -429,7 +428,6 @@ __all__ = [
     "ParallelRunner",
     "SRAFactory",
     "GRAFactory",
-    "configure",
     "resolve_max_workers",
     "parallel_average_static_runs",
 ]

@@ -14,7 +14,7 @@ optimal (Related Work, Section 7).
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

@@ -1,9 +1,13 @@
-"""Causal observability: happens-before DAGs and the placement ledger.
+"""Observer state, happens-before DAGs and the placement ledger.
 
 ``repro.obs`` sits directly above :mod:`repro.utils` in the layer map —
-it may import utils (and nothing higher), while the algorithm, sim and
-distributed layers may import it.  Two members:
+it may import utils (and nothing higher), while the kernel, algorithm,
+sim and distributed layers may import it.  Three members:
 
+* :mod:`repro.obs.holder` — the one holder of a run's observer state:
+  the frozen :class:`Observers` record (tracer, telemetry sink,
+  profiler, ledger, metrics registry) that readers fetch with
+  :func:`observers` and writers push with :func:`observing`;
 * :mod:`repro.obs.causal` — builds a happens-before DAG over an exported
   trace (message send/receive events, Lamport clocks, program order) and
   extracts per-round critical-path / latency attribution for the
@@ -23,32 +27,26 @@ from repro.obs.causal import (
     message_flow,
     monitor_rounds,
 )
+from repro.obs.holder import Observers, observers, observing
 from repro.obs.ledger import (
     PlacementLedger,
-    current_ledger,
-    disable_global_ledger,
-    enable_global_ledger,
     explain_entries,
-    global_ledger,
     read_ledger,
     render_explanation,
-    temporary_ledger,
 )
 
 __all__ = [
     "CausalDag",
+    "Observers",
     "build_dag",
     "causal_sections",
     "dsra_rounds",
     "message_flow",
     "monitor_rounds",
+    "observers",
+    "observing",
     "PlacementLedger",
-    "current_ledger",
-    "disable_global_ledger",
-    "enable_global_ledger",
     "explain_entries",
-    "global_ledger",
     "read_ledger",
     "render_explanation",
-    "temporary_ledger",
 ]

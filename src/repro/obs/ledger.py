@@ -26,12 +26,12 @@ those two actions from an empty (primary-only) scheme must reproduce the
 final scheme bit for bit — the ``ledger-scheme-consistency`` conformance
 invariant enforces this on every corpus scenario.
 
-A process-wide ledger mirrors the tracer's singleton discipline: it is
-installed and torn down only by :class:`repro.runtime.context.RunContext`
-(the CLI ``--ledger`` flag), and instrumented call sites fetch it with
-:func:`current_ledger`, which returns a shared *disabled* ledger when
-the feature is off so the hot paths pay one attribute check and nothing
-else.
+The ledger of a run lives in the observer record of
+:mod:`repro.obs.holder`, next to the tracer (the CLI ``--ledger`` flag
+installs one through :class:`repro.runtime.context.RunContext`);
+instrumented call sites read ``observers().ledger``, a shared *disabled*
+ledger when the feature is off, so the hot paths pay one attribute
+check and nothing else.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from contextlib import contextmanager
 from typing import Dict, IO, Iterator, List, Optional, Tuple
 
 from repro.errors import ValidationError
-from repro.utils.tracing import current_tracer
 
 #: entry actions that mutate the deployed scheme (replayable)
 ACTION_ADD = "add"
@@ -121,7 +120,9 @@ class PlacementLedger:
             entry["obj"] = int(obj)
         if site is not None:
             entry["site"] = int(site)
-        tracer = current_tracer()
+        from repro.obs.holder import observers  # the holder imports us
+
+        tracer = observers().tracer
         if tracer.enabled and tracer.current_span_id is not None:
             entry["causal_parent"] = tracer.current_span_id
         for scope in self._scopes:
@@ -278,60 +279,6 @@ def render_explanation(
     return "\n".join(lines)
 
 
-# --------------------------------------------------------------------- #
-# optional process-wide ledger (CLI --ledger)
-# --------------------------------------------------------------------- #
-_GLOBAL: Optional[PlacementLedger] = None
-_DISABLED = PlacementLedger(enabled=False)
-
-
-def enable_global_ledger() -> PlacementLedger:
-    """Install (or return the existing) process-wide ledger."""
-    global _GLOBAL
-    if _GLOBAL is None:
-        _GLOBAL = PlacementLedger()
-    return _GLOBAL
-
-
-def global_ledger() -> Optional[PlacementLedger]:
-    """The process-wide ledger, or ``None`` when the feature is off."""
-    return _GLOBAL
-
-
-def disable_global_ledger() -> None:
-    """Remove the process-wide ledger."""
-    global _GLOBAL
-    _GLOBAL = None
-
-
-def current_ledger() -> PlacementLedger:
-    """The global ledger, or a shared disabled ledger when off.
-
-    Producers use this so the disabled path costs one global load plus
-    one ``enabled`` check — no allocation, no branches in the caller.
-    """
-    return _GLOBAL if _GLOBAL is not None else _DISABLED
-
-
-@contextmanager
-def temporary_ledger() -> Iterator[PlacementLedger]:
-    """Install a fresh process-wide ledger for the duration of a block.
-
-    Whatever ledger was installed before (including none) is restored on
-    exit, even when the body raises.  The conformance invariant uses this
-    (via :func:`repro.runtime.context.scoped_ledger`) to capture a
-    solve's placement stream without clobbering a ``--ledger`` session.
-    """
-    global _GLOBAL
-    previous = _GLOBAL
-    ledger = PlacementLedger()
-    _GLOBAL = ledger
-    try:
-        yield ledger
-    finally:
-        _GLOBAL = previous
-
-
 __all__ = [
     "ACTION_ADD",
     "ACTION_DROP",
@@ -346,9 +293,4 @@ __all__ = [
     "read_ledger",
     "explain_entries",
     "render_explanation",
-    "enable_global_ledger",
-    "global_ledger",
-    "disable_global_ledger",
-    "current_ledger",
-    "temporary_ledger",
 ]

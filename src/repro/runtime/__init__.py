@@ -14,10 +14,10 @@ Three pieces, layered between ``utils`` and every consumer:
   --faults/--parallel`` flag groups and the :func:`runtime_session`
   wrapper.
 
-This package is the only code allowed to mutate the process-wide
-tracer/telemetry/profiler/metrics/ledger singletons in ``repro.utils``
-and ``repro.obs`` (the layering contract in ``tests/test_layering.py``
-and CI's import-linter job enforce it).  See ``docs/architecture.md``.
+:class:`RunContext` pushes the run's observer record through
+:func:`repro.obs.holder.observing`; only :mod:`repro.obs.holder` itself
+touches the context variable behind it (``tests/test_layering.py``
+enforces it).  See ``docs/architecture.md``.
 """
 
 from repro.runtime.cli_options import (
@@ -37,11 +37,8 @@ from repro.runtime.context import (
     PARALLEL_ENV_VAR,
     RunContext,
     ambient_context,
-    configure_parallelism,
     current_context,
     resolve_max_workers,
-    scoped_ledger,
-    scoped_tracer,
 )
 from repro.runtime.registry import (
     OptimalSolver,
@@ -66,12 +63,9 @@ __all__ = [
     "SolverSpec",
     "add_runtime_options",
     "ambient_context",
-    "configure_parallelism",
     "context_from_args",
     "current_context",
     "default_registry",
     "resolve_max_workers",
     "runtime_session",
-    "scoped_ledger",
-    "scoped_tracer",
 ]

@@ -1,83 +1,48 @@
 """The unified run context: one owner for every cross-cutting concern.
 
 Every entry point used to wire the tracer, telemetry sink, profiler,
-metrics registry, fault plan, RNG tree and parallelism policy by hand
-(``had_tracer`` save/restore dances in the CLI, pid checks in the
-process-pool workers, ``configure``/``finally`` pairs in the experiment
-runner).  :class:`RunContext` centralises all of it:
+metrics registry, fault plan, RNG tree and parallelism policy by hand.
+:class:`RunContext` centralises all of it:
 
-* ``install()`` enables the requested process-wide components through
-  the ``utils`` enable/disable functions — this module is the **only**
-  legitimate caller of those mutators outside their defining modules
-  (``tests/test_layering.py`` enforces the contract) — and registers
-  itself in a :mod:`contextvars` variable so nested code can find the
-  active context with :func:`current_context`;
-* components that were already enabled before ``install()`` are
-  *adopted*: the context uses them but does not tear them down, exactly
-  like the CLI's old ``had_tracer``-style bookkeeping;
+* ``install()`` builds the run's observer record
+  (:class:`~repro.obs.holder.Observers`) and pushes it through
+  :func:`~repro.obs.holder.observing`, then registers itself in a
+  :mod:`contextvars` variable so nested code can find the active context
+  with :func:`current_context`;
+* a component the enclosing record already has enabled is *adopted*:
+  the context uses it rather than building a second one;
 * ``teardown()`` flushes the telemetry sink (final snapshot + exporter
-  close), restores the previous global state, and is idempotent — so no
-  global tracer/sink/profiler singleton can leak between runs or tests;
+  close) and pops the pushed record, restoring the enclosing one object
+  for object; it is idempotent, so no observer can leak between runs or
+  tests.  Contexts nest and are torn down innermost first;
 * ``fork(worker_id)`` derives a deterministic, **picklable** child
   context for :class:`~repro.experiments.parallel.ParallelRunner`
-  workers, replacing the hand-rolled snapshot/re-parent tracer dance:
-  the child's ``install()`` decides *by pid* whether it runs in a pool
-  worker (fresh per-task tracer whose snapshot ships back to the
+  workers: the child's ``install()`` decides *by pid* whether it runs in
+  a pool worker (fresh per-task tracer whose snapshot ships back to the
   parent) or in-process (records straight into the live tracer).
 
 The context manager :meth:`RunContext.activate` composes ``install`` +
 ``teardown``; :func:`ambient_context` returns the active context or an
-uninstalled stand-in reflecting the live globals, so library code works
-identically inside and outside a managed run.
+uninstalled stand-in reflecting the live observers, so library code
+works identically inside and outside a managed run.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from contextvars import ContextVar
 from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.obs.ledger import (
-    PlacementLedger,
-    current_ledger,
-    disable_global_ledger,
-    enable_global_ledger,
-    global_ledger,
-    temporary_ledger,
-)
-from repro.utils.metrics import (
-    MetricsRegistry,
-    disable_global_metrics,
-    enable_global_metrics,
-    global_metrics,
-)
-from repro.utils.profiler import (
-    DeterministicProfiler,
-    current_profiler,
-    disable_global_profiling,
-    enable_global_profiling,
-    global_profiler,
-)
-from repro.utils.telemetry import (
-    TelemetrySink,
-    current_sink,
-    disable_global_telemetry,
-    enable_global_telemetry,
-    global_telemetry,
-)
-from repro.utils.tracing import (
-    DEFAULT_CAPACITY,
-    Tracer,
-    current_tracer,
-    disable_global_tracing,
-    enable_global_tracing,
-    global_tracer,
-    temporary_tracer,
-)
+from repro.obs.holder import Observers, observers, observing
+from repro.obs.ledger import PlacementLedger
+from repro.utils.metrics import MetricsRegistry
+from repro.utils.profiler import DeterministicProfiler
+from repro.utils.telemetry import TelemetrySink
+from repro.utils.tracing import DEFAULT_CAPACITY, Tracer
 
 #: the active context, scoped with :mod:`contextvars` so async/threaded
 #: callers each see their own installation
@@ -85,42 +50,29 @@ _ACTIVE: ContextVar[Optional["RunContext"]] = ContextVar(
     "repro_run_context", default=None
 )
 
-# --------------------------------------------------------------------- #
-# parallelism policy (moved here from experiments.parallel: the worker
-# count is a cross-cutting concern, owned by the run context)
-# --------------------------------------------------------------------- #
 #: environment variable supplying the default worker count
 PARALLEL_ENV_VAR = "REPRO_PARALLEL"
 
-_configured_workers: Optional[int] = None
 
-
-def configure_parallelism(max_workers: Optional[int]) -> None:
-    """Install a process-wide default worker count (``None`` resets).
-
-    ``average_static_runs`` and the figure sweeps consult this default
-    whenever no explicit ``max_workers`` is passed; a
-    :class:`RunContext` built with ``max_workers`` calls this on
-    install and restores the previous value on teardown.
-    """
-    global _configured_workers
-    if max_workers is not None and max_workers < 1:
+def _check_workers(max_workers: int) -> int:
+    if max_workers < 1:
         raise ValidationError(
             f"max_workers must be >= 1, got {max_workers}"
         )
-    _configured_workers = max_workers
+    return max_workers
 
 
 def resolve_max_workers(max_workers: Optional[int] = None) -> int:
-    """Effective worker count: explicit > configured > env > 1."""
+    """Effective worker count.
+
+    Explicit > the active context's ``max_workers`` (inherited by nested
+    contexts that set none) > ``$REPRO_PARALLEL`` > 1.
+    """
     if max_workers is not None:
-        if max_workers < 1:
-            raise ValidationError(
-                f"max_workers must be >= 1, got {max_workers}"
-            )
-        return max_workers
-    if _configured_workers is not None:
-        return _configured_workers
+        return _check_workers(max_workers)
+    ctx = _ACTIVE.get()
+    if ctx is not None and ctx._workers is not None:
+        return ctx._workers
     env = os.environ.get(PARALLEL_ENV_VAR, "").strip()
     if env:
         try:
@@ -137,12 +89,6 @@ def resolve_max_workers(max_workers: Optional[int] = None) -> int:
     return 1
 
 
-def _default_cost_model_factory():
-    from repro.core.cost import cost_model_for
-
-    return cost_model_for
-
-
 # --------------------------------------------------------------------- #
 # the context
 # --------------------------------------------------------------------- #
@@ -156,35 +102,32 @@ class RunContext:
         :class:`numpy.random.SeedSequence` accepts).  ``fork(i)``
         derives child ``i``'s sequence from it deterministically.
     trace / trace_capacity:
-        Enable the process-wide tracer (ring buffer of ``trace_capacity``
+        Observe the run with a tracer (ring buffer of ``trace_capacity``
         records).
     profile / profile_every:
-        Enable the deterministic profiler, sampling one stack per
-        ``profile_every`` progress ticks.  Profiling samples the
-        tracer's open-span stack, so the context enables tracing
-        alongside it (the coupling formerly hidden inside
-        ``enable_global_profiling``).
+        Observe the run with the deterministic profiler, sampling one
+        stack per ``profile_every`` progress ticks.  Profiling samples
+        the tracer's open-span stack, so the context enables tracing
+        alongside it.
     telemetry / exporters:
-        Install a :class:`~repro.utils.telemetry.TelemetrySink`;
+        Observe the run with a :class:`~repro.utils.telemetry.TelemetrySink`;
         ``exporters`` are attached to it on install.
     metrics / registry:
         ``registry`` supplies an explicit
         :class:`~repro.utils.metrics.MetricsRegistry` (attached to the
-        sink, *not* installed globally).  ``metrics=True`` without a
-        registry enables the process-wide registry instead.
+        sink, *not* pushed into the observer record).  ``metrics=True``
+        without a registry puts a run-wide registry in the record
+        instead.
     ledger:
-        Enable the process-wide
-        :class:`~repro.obs.ledger.PlacementLedger`, so every replica
-        add/drop/deferral records its attribution (``repro explain``).
+        Observe the run with a :class:`~repro.obs.ledger.PlacementLedger`,
+        so every replica add/drop/deferral records its attribution
+        (``repro explain``).
     fault_plan:
         A :class:`~repro.sim.faults.FaultPlan` for commands that replay
         traces; carried, not interpreted.
     max_workers:
-        Default worker count installed via
-        :func:`configure_parallelism` for the context's lifetime.
-    cost_model_factory:
-        ``instance -> CostModel`` dispatch; defaults to
-        :func:`repro.core.cost.cost_model_for`.
+        Default worker count for :func:`resolve_max_workers` while the
+        context is active; nested contexts that set none inherit it.
     """
 
     def __init__(
@@ -202,7 +145,6 @@ class RunContext:
         ledger: bool = False,
         fault_plan=None,
         max_workers: Optional[int] = None,
-        cost_model_factory=None,
         _fork_parent_pid: Optional[int] = None,
         _worker_id: Optional[int] = None,
     ) -> None:
@@ -218,27 +160,18 @@ class RunContext:
         self._exporters: List[object] = list(exporters)
         self.metrics_requested = bool(metrics)
         self._registry = registry
+        self._metrics: Optional[MetricsRegistry] = registry
         self.ledger_requested = bool(ledger)
         self.fault_plan = fault_plan
+        if max_workers is not None:
+            _check_workers(max_workers)
         self.max_workers = max_workers
-        self._cost_model_factory = cost_model_factory
         self.worker_id = _worker_id
         self._fork_parent_pid = _fork_parent_pid
-        # live components (populated by install)
-        self._tracer: Optional[Tracer] = None
-        self._profiler: Optional[DeterministicProfiler] = None
-        self._sink: Optional[TelemetrySink] = None
-        self._metrics: Optional[MetricsRegistry] = registry
-        self._ledger: Optional[PlacementLedger] = None
-        # adoption bookkeeping
-        self._installed = False
-        self._owns_tracer = False
-        self._owns_profiler = False
-        self._owns_sink = False
-        self._owns_metrics = False
-        self._owns_ledger = False
-        self._previous_workers: Optional[int] = None
-        self._restore_workers = False
+        # populated by install
+        self._observers: Optional[Observers] = None
+        self._workers: Optional[int] = None
+        self._scope: Optional[ExitStack] = None
         self._token = None
 
     # ------------------------------------------------------------------ #
@@ -292,32 +225,28 @@ class RunContext:
             trace=self.trace_requested or self.tracer.enabled,
             trace_capacity=self.trace_capacity,
             fault_plan=self.fault_plan,
-            cost_model_factory=self._cost_model_factory,
             _fork_parent_pid=os.getpid(),
             _worker_id=worker_id,
         )
 
     # ------------------------------------------------------------------ #
-    # component access
+    # component access: the pushed record, else the live one
     # ------------------------------------------------------------------ #
     @property
     def tracer(self) -> Tracer:
-        """This context's tracer, else the process-wide/disabled one."""
-        if self._tracer is not None:
-            return self._tracer
-        return current_tracer()
+        return (self._observers or observers()).tracer
 
     @property
     def profiler(self) -> DeterministicProfiler:
-        if self._profiler is not None:
-            return self._profiler
-        return current_profiler()
+        return (self._observers or observers()).profiler
 
     @property
     def sink(self) -> TelemetrySink:
-        if self._sink is not None:
-            return self._sink
-        return current_sink()
+        return (self._observers or observers()).sink
+
+    @property
+    def ledger(self) -> PlacementLedger:
+        return (self._observers or observers()).ledger
 
     @property
     def metrics(self) -> Optional[MetricsRegistry]:
@@ -325,104 +254,97 @@ class RunContext:
         return self._metrics
 
     @property
-    def ledger(self) -> PlacementLedger:
-        """This context's ledger, else the process-wide/disabled one."""
-        if self._ledger is not None:
-            return self._ledger
-        return current_ledger()
-
-    @property
     def installed(self) -> bool:
-        return self._installed
-
-    def cost_model(self, instance, **kwargs):
-        """Build a cost model via the context's factory dispatch."""
-        factory = self._cost_model_factory or _default_cost_model_factory()
-        return factory(instance, **kwargs)
+        return self._token is not None
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def install(self) -> "RunContext":
-        """Enable the requested components and become the active context.
+        """Push this run's observer record and become the active context.
 
-        Components already enabled process-wide are adopted and left in
-        place on teardown; everything this call brings up is owned by
-        the context and torn down again.
+        Components the enclosing record already has enabled are adopted;
+        everything else requested is built fresh.
         """
-        if self._installed:
+        if self.installed:
             raise ValidationError("RunContext is already installed")
+        parent = _ACTIVE.get()
+        self._workers = self.max_workers
+        if self._workers is None and parent is not None:
+            self._workers = parent._workers
+        self._scope = ExitStack()
+        self._observers = self._scope.enter_context(
+            observing(**self._components(observers()))
+        )
         self._token = _ACTIVE.set(self)
-        self._installed = True
-        if self._fork_parent_pid is not None:
-            self._install_forked()
-            return self
-        if self.metrics_requested and self._registry is None:
-            self._owns_metrics = global_metrics() is None
-            self._metrics = enable_global_metrics()
-        if self.telemetry_requested:
-            self._owns_sink = global_telemetry() is None
-            self._sink = enable_global_telemetry(registry=self._metrics)
-            for exporter in self._exporters:
-                self._sink.attach_exporter(exporter)
-        if self.ledger_requested:
-            self._owns_ledger = global_ledger() is None
-            self._ledger = enable_global_ledger()
-        if self.trace_requested or self.profile_requested:
-            self._owns_tracer = global_tracer() is None
-            self._tracer = enable_global_tracing(self.trace_capacity)
-        if self.profile_requested:
-            self._owns_profiler = global_profiler() is None
-            self._profiler = enable_global_profiling(
-                sample_every=self.profile_every
-            )
-        if self.max_workers is not None:
-            self._previous_workers = _configured_workers
-            self._restore_workers = True
-            configure_parallelism(self.max_workers)
         return self
 
-    def _install_forked(self) -> None:
-        """Per-task setup in a (potential) pool worker.
+    def _components(self, outer: Observers) -> dict:
+        """The fields this context replaces in the enclosing record."""
+        fields = {}
+        if self._fork_parent_pid is not None:
+            # A pool worker inherits the parent's tracer through fork(),
+            # but records written to that copy would be lost: it gets a
+            # fresh tracer whose snapshot ships back.  In the parent
+            # (serial path, in-process retry) the fork records straight
+            # into the live tracer.
+            if self._in_worker():
+                fields["tracer"] = Tracer(capacity=self.trace_capacity)
+            return fields
+        if self.metrics_requested and self._registry is None:
+            self._metrics = (
+                outer.metrics if outer.metrics is not None
+                else MetricsRegistry()
+            )
+            fields["metrics"] = self._metrics
+        if self.telemetry_requested:
+            sink = outer.sink if outer.sink.enabled else TelemetrySink()
+            if sink.registry is None:
+                sink.registry = self._metrics
+            for exporter in self._exporters:
+                sink.attach_exporter(exporter)
+            fields["sink"] = sink
+        if self.ledger_requested:
+            fields["ledger"] = (
+                outer.ledger if outer.ledger.enabled else PlacementLedger()
+            )
+        if self.trace_requested or self.profile_requested:
+            fields["tracer"] = (
+                outer.tracer
+                if outer.tracer.enabled
+                else Tracer(capacity=self.trace_capacity)
+            )
+        if self.profile_requested:
+            fields["profiler"] = (
+                outer.profiler
+                if outer.profiler.enabled
+                else DeterministicProfiler(
+                    sample_every=self.profile_every, tracer=fields["tracer"]
+                )
+            )
+        return fields
 
-        Whether this fork *is* in a worker is decided by pid, not by the
-        presence of a global tracer — forked pool processes inherit the
-        parent's tracer, but records written to that copy would be lost.
-        In the parent itself (serial path, in-process retry) the fork
-        records straight into the live tracer and ships nothing.
-        """
-        if self.trace_requested and os.getpid() != self._fork_parent_pid:
-            disable_global_tracing()  # drop the copy inherited via fork
-            self._tracer = enable_global_tracing(self.trace_capacity)
-            self._owns_tracer = True
+    def _in_worker(self) -> bool:
+        """True for a traced fork child running in a pool worker process."""
+        return (
+            self.trace_requested
+            and self._fork_parent_pid is not None
+            and os.getpid() != self._fork_parent_pid
+        )
 
     def teardown(self) -> None:
-        """Flush, restore the previous global state; idempotent."""
-        if not self._installed:
+        """Flush the sink and restore the enclosing record; idempotent."""
+        if not self.installed:
             return
-        self._installed = False
-        if self._sink is not None:
-            self._sink.snapshot()  # final state, even if the body raised
-            self._sink.close()
-        if self._owns_profiler:
-            disable_global_profiling()
-        if self._owns_tracer:
-            disable_global_tracing()
-        if self._owns_sink:
-            disable_global_telemetry()
-        if self._owns_metrics:
-            disable_global_metrics()
-        if self._owns_ledger:
-            disable_global_ledger()
-        if self._restore_workers:
-            configure_parallelism(self._previous_workers)
-            self._restore_workers = False
-        self._owns_profiler = self._owns_tracer = False
-        self._owns_sink = self._owns_metrics = False
-        self._owns_ledger = False
-        if self._token is not None:
-            _ACTIVE.reset(self._token)
-            self._token = None
+        _ACTIVE.reset(self._token)
+        self._token = None
+        try:
+            if self.telemetry_requested:
+                self.sink.snapshot()  # final state, even if the body raised
+                self.sink.close()
+        finally:
+            self._scope.close()
+            self._scope = None
 
     @contextmanager
     def activate(self) -> Iterator["RunContext"]:
@@ -435,24 +357,22 @@ class RunContext:
 
     # a forked, uninstalled context must be shippable to pool workers
     def __getstate__(self):
-        state = dict(self.__dict__)
-        if self._installed:
+        if self.installed:
             raise ValidationError(
                 "an installed RunContext cannot be pickled; "
                 "ship fork() children instead"
             )
-        state["_token"] = None
-        return state
+        return self.__dict__
 
     def trace_snapshot(self):
         """The fork's own trace, for re-parenting — ``None`` in-process.
 
-        Only meaningful on fork children after their block closed: pool
-        workers return their private tracer's snapshot; in-process forks
-        recorded straight into the live tracer and return ``None``.
+        Only meaningful on fork children: pool workers return their
+        private tracer's snapshot; in-process forks recorded straight
+        into the live tracer and return ``None``.
         """
-        if self._fork_parent_pid is not None and self._owns_tracer:
-            return self._tracer.snapshot()
+        if self._in_worker():
+            return self.tracer.snapshot()
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -468,7 +388,7 @@ class RunContext:
             )
             if on
         ]
-        state = "installed" if self._installed else "idle"
+        state = "installed" if self.installed else "idle"
         return f"RunContext({state}, {'+'.join(flags) or 'bare'})"
 
 
@@ -483,50 +403,21 @@ def current_context() -> Optional[RunContext]:
 def ambient_context() -> RunContext:
     """The active context, else an uninstalled stand-in.
 
-    The stand-in reflects the live globals (its ``tracer``/``sink``
-    properties delegate to ``current_*``, and its trace flag mirrors
-    whether a process-wide tracer is enabled), so harness code can fork
-    workers identically whether or not a managed run is active.
+    The stand-in reflects the live observers (its ``tracer``/``sink``
+    properties read :func:`~repro.obs.holder.observers`, and its trace
+    flag mirrors whether the live tracer is enabled), so harness code
+    can fork workers identically whether or not a managed run is active.
     """
     ctx = _ACTIVE.get()
     if ctx is not None:
         return ctx
-    return RunContext(trace=current_tracer().enabled)
-
-
-@contextmanager
-def scoped_tracer(capacity: int = DEFAULT_CAPACITY) -> Iterator[Tracer]:
-    """A fresh process-wide tracer for the duration of a block.
-
-    Whatever tracer was installed before (including none) is restored on
-    exit, even when the body raises.  The conformance oracle uses this
-    to observe instrumentation events (``sra.place`` benefits) without
-    clobbering a ``--trace`` session the caller may be running.
-    """
-    with temporary_tracer(capacity=capacity) as tracer:
-        yield tracer
-
-
-@contextmanager
-def scoped_ledger() -> Iterator[PlacementLedger]:
-    """A fresh process-wide placement ledger for the duration of a block.
-
-    Whatever ledger was installed before (including none) is restored on
-    exit, even when the body raises.  The ``ledger-scheme-consistency``
-    conformance invariant uses this to capture a solve's placement
-    stream without clobbering a ``--ledger`` session.
-    """
-    with temporary_ledger() as ledger:
-        yield ledger
+    return RunContext(trace=observers().tracer.enabled)
 
 
 __all__ = [
     "PARALLEL_ENV_VAR",
     "RunContext",
     "ambient_context",
-    "configure_parallelism",
     "current_context",
     "resolve_max_workers",
-    "scoped_ledger",
-    "scoped_tracer",
 ]

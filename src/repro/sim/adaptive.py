@@ -19,7 +19,7 @@ can be judged net of its overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -30,15 +30,12 @@ from repro.core.incremental import IncrementalCostEvaluator
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
-from repro.obs.ledger import current_ledger
+from repro.obs.holder import observers
 from repro.runtime.registry import default_registry
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.protocol import ReplicaSystem
-from repro.utils.profiler import current_profiler
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.telemetry import current_sink
-from repro.utils.tracing import current_tracer
 from repro.workload.mutation import detect_changed_objects
 from repro.workload.trace import generate_trace
 
@@ -156,8 +153,8 @@ class AdaptiveReplicationLoop:
         sizes, capacities and primaries — only patterns may differ.
         """
         records: List[EpochRecord] = []
-        sink = current_sink()
-        profiler = current_profiler()
+        sink = observers().sink
+        profiler = observers().profiler
         for index, epoch_instance in enumerate(epochs):
             self._check_compatible(epoch_instance)
             # Apply fault transitions due at this epoch boundary, then
@@ -191,7 +188,7 @@ class AdaptiveReplicationLoop:
                     params=self._agra_params,
                     gra_params=self._gra_params,
                 )
-                with current_ledger().scope(
+                with observers().ledger.scope(
                     algorithm="agra",
                     epoch=index,
                     trigger="pattern-drift",
@@ -304,7 +301,7 @@ class AdaptiveReplicationLoop:
         )
         if deferred:
             self._pending = target.copy()
-            current_tracer().event(
+            observers().tracer.event(
                 "adaptive.defer",
                 epoch=epoch,
                 deferred_replicas=deferred,
@@ -318,7 +315,7 @@ class AdaptiveReplicationLoop:
         """Retry a deferred realisation; returns migrations performed."""
         if self._pending is None:
             return 0
-        ledger = current_ledger()
+        ledger = observers().ledger
         with ledger.scope(
             algorithm="agra", epoch=epoch, trigger="fault-recovery"
         ):
@@ -328,7 +325,7 @@ class AdaptiveReplicationLoop:
         if np.array_equal(self.system.scheme.matrix, self._pending.matrix):
             self._pending = None
         if migrations:
-            current_tracer().event(
+            observers().tracer.event(
                 "adaptive.resume",
                 epoch=epoch,
                 migrations=migrations,

@@ -9,13 +9,11 @@ early.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import SimulationError
+from repro.obs.holder import observers
 from repro.sim.events import Action, EventQueue
-from repro.utils.profiler import current_profiler
-from repro.utils.telemetry import current_sink
-from repro.utils.tracing import current_tracer
 
 
 class Simulator:
@@ -59,9 +57,9 @@ class Simulator:
         (closed interval), matching the intuition that a run "until t"
         includes t.
         """
-        tracer = current_tracer()
-        profiler = current_profiler()
-        sink = current_sink()
+        tracer = observers().tracer
+        profiler = observers().profiler
+        sink = observers().sink
         sample = self.trace_sample_every
         # Two loop bodies so the uninstrumented hot path carries zero
         # per-event tracing/telemetry/profiling cost (not even a boolean

@@ -44,14 +44,13 @@ adaptive loop interprets them as *epoch numbers*.  See
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.errors import FaultPlanError, SimulationError
-from repro.obs.ledger import current_ledger
-from repro.utils.tracing import current_tracer
+from repro.obs.holder import observers
 
 #: transition kinds, in the order they apply at equal timestamps —
 #: recoveries/restorations before new faults, so a back-to-back window
@@ -553,8 +552,8 @@ class FaultInjector:
             self._validated_for = num_sites
 
     def _apply(self, transition: _Transition, system) -> None:
-        tracer = current_tracer()
-        ledger = current_ledger()
+        tracer = observers().tracer
+        ledger = observers().ledger
         kind, spec = transition.kind, transition.spec
         self.events_applied += 1
         if kind == CRASH:

@@ -28,14 +28,14 @@ the original cost-exact protocol.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, TYPE_CHECKING
+from typing import Iterable, Optional, TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import SimulationError, ValidationError
-from repro.obs.ledger import current_ledger
+from repro.obs.holder import observers
 from repro.sim.engine import Simulator
 from repro.sim.metrics import (
     MIGRATION,
@@ -44,7 +44,7 @@ from repro.sim.metrics import (
     WRITE_TO_PRIMARY,
     SimulationMetrics,
 )
-from repro.workload.trace import READ, WRITE, Request
+from repro.workload.trace import READ, Request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.faults import FaultInjector
@@ -454,7 +454,7 @@ class ReplicaSystem:
         migrations = 0
         degraded = bool(self._failed) or self._unreachable is not None
         deferred = False
-        ledger = current_ledger()
+        ledger = observers().ledger
         # Drops first so capacity frees up before additions land.
         for site, obj in zip(*np.nonzero(current & ~desired)):
             site, obj = int(site), int(obj)

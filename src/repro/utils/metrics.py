@@ -19,10 +19,11 @@ Registries are cheap to create, picklable through :meth:`snapshot` /
 metrics back to the parent — histograms merge bucket-wise, exactly like
 counters), and render as an aligned terminal table.
 
-A process-wide default registry can be installed with
-:func:`enable_global_metrics`; the experiment harness consults it so a
-single ``--metrics`` flag instruments every nested run without threading
-a registry through every call site.
+A run-wide registry rides in the observer record of
+:mod:`repro.obs.holder` (``observers().metrics``, installed by the
+``--metrics`` flag); the experiment harness consults it so a single
+flag instruments every nested run without threading a registry through
+every call site.
 """
 
 from __future__ import annotations
@@ -400,37 +401,9 @@ class MetricsRegistry:
         return "\n".join(lines)
 
 
-# --------------------------------------------------------------------- #
-# optional process-wide registry (CLI --metrics)
-# --------------------------------------------------------------------- #
-_GLOBAL: Optional[MetricsRegistry] = None
-
-
-def enable_global_metrics() -> MetricsRegistry:
-    """Install (or return the existing) process-wide registry."""
-    global _GLOBAL
-    if _GLOBAL is None:
-        _GLOBAL = MetricsRegistry()
-    return _GLOBAL
-
-
-def global_metrics() -> Optional[MetricsRegistry]:
-    """The process-wide registry, or ``None`` when not enabled."""
-    return _GLOBAL
-
-
-def disable_global_metrics() -> None:
-    """Remove the process-wide registry (mostly for tests)."""
-    global _GLOBAL
-    _GLOBAL = None
-
-
 __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Timer",
     "Snapshot",
-    "enable_global_metrics",
-    "global_metrics",
-    "disable_global_metrics",
 ]

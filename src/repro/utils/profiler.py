@@ -22,13 +22,13 @@ Gregg's flamegraph.pl / speedscope both read it) or as `speedscope
 <https://www.speedscope.app/>`_ JSON (``evented: false`` sampled
 profile).
 
-A process-wide profiler is installed with
-:func:`enable_global_profiling` (the CLI ``--profile`` flag does this);
-call sites fetch it via :func:`current_profiler`, which returns a shared
-*disabled* profiler when profiling is off, so hot paths pay one global
-load plus one ``enabled`` check.  Enabling the profiler also enables
-global tracing — the span stack is what gets sampled — but does not by
-itself write any trace file.
+The profiler of a run lives in the observer record of
+:mod:`repro.obs.holder` (the CLI ``--profile`` flag installs one); call
+sites read ``observers().profiler``, a shared *disabled* profiler when
+profiling is off, so hot paths pay one context-variable read plus one
+``enabled`` check.  A profiler samples the tracer it was built with, so
+the run context enables tracing alongside it — without writing any
+trace file by itself.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import json
 from typing import Dict, IO, List, Optional, Tuple
 
 from repro.errors import ValidationError
-from repro.utils.tracing import Tracer, current_tracer
+from repro.utils.tracing import Tracer
 
 #: export formats accepted by :meth:`DeterministicProfiler.write`
 FORMAT_COLLAPSED = "collapsed"
@@ -69,8 +69,8 @@ class DeterministicProfiler:
         Sampling is an exact decimation of the tick stream, so the
         profile is a deterministic function of the run.
     tracer:
-        Span-stack source; defaults to the process-wide tracer at each
-        tick (so a profiler created before ``--trace`` still sees spans).
+        Span-stack source.  Without one every sample records
+        :data:`IDLE_FRAME`.
     """
 
     def __init__(
@@ -111,10 +111,11 @@ class DeterministicProfiler:
             self.ticks // self.sample_every - before // self.sample_every
         )
         if crossings:
-            tracer = (
-                self._tracer if self._tracer is not None else current_tracer()
-            )
-            stack = tracer.open_span_names() or (IDLE_FRAME,)
+            stack = (
+                self._tracer.open_span_names()
+                if self._tracer is not None
+                else ()
+            ) or (IDLE_FRAME,)
             self._stacks[stack] = self._stacks.get(stack, 0) + crossings
             self.samples += crossings
 
@@ -231,57 +232,10 @@ class DeterministicProfiler:
         return "\n".join(lines)
 
 
-# --------------------------------------------------------------------- #
-# optional process-wide profiler (CLI --profile)
-# --------------------------------------------------------------------- #
-_GLOBAL: Optional[DeterministicProfiler] = None
-_DISABLED = DeterministicProfiler(enabled=False)
-
-
-def enable_global_profiling(
-    sample_every: int = 1,
-) -> DeterministicProfiler:
-    """Install (or return the existing) process-wide profiler.
-
-    The profiler samples the tracer's open-span stack, so global tracing
-    must be enabled for stacks to be non-trivial; the runtime layer
-    (:class:`repro.runtime.context.RunContext`) brings the tracer up
-    alongside the profiler — this function mutates only its own global.
-    """
-    global _GLOBAL
-    if _GLOBAL is None:
-        _GLOBAL = DeterministicProfiler(sample_every=sample_every)
-    return _GLOBAL
-
-
-def global_profiler() -> Optional[DeterministicProfiler]:
-    """The process-wide profiler, or ``None`` when profiling is off."""
-    return _GLOBAL
-
-
-def disable_global_profiling() -> None:
-    """Remove the process-wide profiler (tests, CLI teardown)."""
-    global _GLOBAL
-    _GLOBAL = None
-
-
-def current_profiler() -> DeterministicProfiler:
-    """The global profiler, or a shared disabled one when profiling is off.
-
-    Mirrors :func:`repro.utils.tracing.current_tracer`: the disabled
-    path costs one global load plus one ``enabled`` check.
-    """
-    return _GLOBAL if _GLOBAL is not None else _DISABLED
-
-
 __all__ = [
     "FORMAT_COLLAPSED",
     "FORMAT_SPEEDSCOPE",
     "PROFILE_FORMATS",
     "IDLE_FRAME",
     "DeterministicProfiler",
-    "enable_global_profiling",
-    "global_profiler",
-    "disable_global_profiling",
-    "current_profiler",
 ]

@@ -9,7 +9,7 @@ independent child streams from a single master seed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 

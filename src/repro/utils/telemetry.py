@@ -17,12 +17,11 @@ This module turns both into signals another system can consume:
 * :func:`render_openmetrics` / :func:`parse_openmetrics` round-trip the
   exposition text, so an export can be validated byte for byte.
 
-Like the tracer, a process-wide sink is installed with
-:func:`enable_global_telemetry` (the CLI ``--openmetrics`` /
-``--telemetry`` flags do this); instrumented call sites fetch it via
-:func:`current_sink`, which hands back a shared *disabled* sink when
-telemetry is off — the hot paths pay one global load plus one ``enabled``
-check and nothing else.
+Like the tracer, the sink of a run lives in the observer record of
+:mod:`repro.obs.holder` (the CLI ``--openmetrics`` / ``--telemetry``
+flags install one); instrumented call sites read ``observers().sink``,
+a shared *disabled* sink when telemetry is off — the hot paths pay one
+context-variable read plus one ``enabled`` check and nothing else.
 
 Metric naming
 -------------
@@ -143,7 +142,7 @@ class TelemetrySink:
     17.0
 
     ``enabled=False`` turns every method into a no-op; the shared
-    disabled sink returned by :func:`current_sink` is how instrumented
+    disabled sink in the default observer record is how instrumented
     hot paths stay zero-cost when telemetry is off.
     """
 
@@ -475,49 +474,6 @@ def validate_openmetrics(text: str) -> int:
     return sum(len(entry["samples"]) for entry in families.values())
 
 
-# --------------------------------------------------------------------- #
-# optional process-wide sink (CLI --openmetrics / --telemetry)
-# --------------------------------------------------------------------- #
-_GLOBAL: Optional[TelemetrySink] = None
-_DISABLED = TelemetrySink(enabled=False)
-
-
-def enable_global_telemetry(
-    registry: Optional[MetricsRegistry] = None,
-) -> TelemetrySink:
-    """Install (or return the existing) process-wide sink.
-
-    When a sink already exists and ``registry`` is given, the registry is
-    attached to it (a later ``--metrics`` flag should not be lost).
-    """
-    global _GLOBAL
-    if _GLOBAL is None:
-        _GLOBAL = TelemetrySink(registry=registry)
-    elif registry is not None and _GLOBAL.registry is None:
-        _GLOBAL.registry = registry
-    return _GLOBAL
-
-
-def global_telemetry() -> Optional[TelemetrySink]:
-    """The process-wide sink, or ``None`` when telemetry is off."""
-    return _GLOBAL
-
-
-def disable_global_telemetry() -> None:
-    """Remove the process-wide sink (mostly for tests and CLI teardown)."""
-    global _GLOBAL
-    _GLOBAL = None
-
-
-def current_sink() -> TelemetrySink:
-    """The global sink, or a shared disabled sink when telemetry is off.
-
-    Mirrors :func:`repro.utils.tracing.current_tracer`: the disabled
-    path costs one global load plus one ``enabled`` check.
-    """
-    return _GLOBAL if _GLOBAL is not None else _DISABLED
-
-
 __all__ = [
     "SNAPSHOT_VERSION",
     "METRIC_PREFIX",
@@ -531,8 +487,4 @@ __all__ = [
     "render_openmetrics_snapshot",
     "parse_openmetrics",
     "validate_openmetrics",
-    "enable_global_telemetry",
-    "global_telemetry",
-    "disable_global_telemetry",
-    "current_sink",
 ]

@@ -28,11 +28,11 @@ the worker's root spans under the parent run and remaps span ids into
 the parent's id space deterministically (merge order decides ids, and
 the harness merges in task order).
 
-A process-wide tracer is installed with :func:`enable_global_tracing`
-(the CLI ``--trace`` flag does this); instrumented call sites fetch it
-via :func:`current_tracer`, which returns a shared *disabled* tracer
-when tracing is off, so the hot paths pay one attribute check and
-nothing else.
+The tracer of a run lives in the observer record of
+:mod:`repro.obs.holder` (the CLI ``--trace`` flag installs one through
+:class:`~repro.runtime.context.RunContext`); instrumented call sites
+read ``observers().tracer``, a shared *disabled* tracer when tracing is
+off, so the hot paths pay one attribute check and nothing else.
 
 Span timestamps are ``time.perf_counter`` deltas re-based onto the wall
 clock at tracer creation: monotonic within a process, and comparable
@@ -45,8 +45,7 @@ import json
 import os
 import time
 from collections import deque
-from contextlib import contextmanager
-from typing import Deque, Dict, IO, Iterable, Iterator, List, Optional, Union
+from typing import Deque, Dict, IO, List, Optional
 
 from repro.errors import ValidationError
 
@@ -520,61 +519,6 @@ def read_trace(path: str) -> Dict[str, object]:
     }
 
 
-# --------------------------------------------------------------------- #
-# optional process-wide tracer (CLI --trace)
-# --------------------------------------------------------------------- #
-_GLOBAL: Optional[Tracer] = None
-_DISABLED = Tracer(capacity=1, enabled=False)
-
-
-def enable_global_tracing(capacity: int = DEFAULT_CAPACITY) -> Tracer:
-    """Install (or return the existing) process-wide tracer."""
-    global _GLOBAL
-    if _GLOBAL is None:
-        _GLOBAL = Tracer(capacity=capacity)
-    return _GLOBAL
-
-
-def global_tracer() -> Optional[Tracer]:
-    """The process-wide tracer, or ``None`` when tracing is off."""
-    return _GLOBAL
-
-
-def disable_global_tracing() -> None:
-    """Remove the process-wide tracer (workers do this between tasks)."""
-    global _GLOBAL
-    _GLOBAL = None
-
-
-def current_tracer() -> Tracer:
-    """The global tracer, or a shared disabled tracer when tracing is off.
-
-    Instrumented call sites use this so the disabled path costs one
-    global load plus one ``enabled`` check — no allocation, no branches
-    in the caller.
-    """
-    return _GLOBAL if _GLOBAL is not None else _DISABLED
-
-
-@contextmanager
-def temporary_tracer(capacity: int = DEFAULT_CAPACITY) -> Iterator[Tracer]:
-    """Install a fresh process-wide tracer for the duration of a block.
-
-    Whatever tracer was installed before (including none) is restored on
-    exit, even when the body raises.  The conformance oracle uses this to
-    observe instrumentation events (``sra.place`` benefits) without
-    clobbering a ``--trace`` session the caller may be running.
-    """
-    global _GLOBAL
-    previous = _GLOBAL
-    tracer = Tracer(capacity=capacity)
-    _GLOBAL = tracer
-    try:
-        yield tracer
-    finally:
-        _GLOBAL = previous
-
-
 __all__ = [
     "DEFAULT_CAPACITY",
     "FORMAT_JSONL",
@@ -586,9 +530,4 @@ __all__ = [
     "Record",
     "Tracer",
     "read_trace",
-    "enable_global_tracing",
-    "global_tracer",
-    "disable_global_tracing",
-    "current_tracer",
-    "temporary_tracer",
 ]

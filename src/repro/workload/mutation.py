@@ -19,7 +19,7 @@ dual decrease case (requests are removed proportionally).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

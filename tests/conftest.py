@@ -42,48 +42,30 @@ except ImportError:  # hypothesis is optional; property tests self-skip
 
 @pytest.fixture(autouse=True)
 def _no_leaked_globals():
-    """Fail any test that leaves a process-wide singleton installed.
+    """Fail any test that leaves an observer record or run context pushed.
 
-    The runtime layer (``repro.runtime.context.RunContext``) owns the
-    global tracer / telemetry sink / profiler / metrics registry and
-    guarantees teardown; a test that enables one directly must disable
-    it again, or every later test silently runs traced/metered.  The
-    leaked singletons are cleared here regardless, so one offender
-    cannot cascade.
+    Everything a run observes with (tracer, telemetry sink, profiler,
+    metrics registry, placement ledger) lives in one record held by
+    ``repro.obs.holder``; ``RunContext`` and ``observing`` restore the
+    enclosing record on exit.  A test that pushes one and never pops it
+    would make every later test silently run traced/metered, so the
+    record must be the default one again, object for object, and no
+    run context may remain active.  Leaked state is cleared here
+    regardless, so one offender cannot cascade.
     """
-    from repro.obs.ledger import disable_global_ledger, global_ledger
-    from repro.utils.metrics import disable_global_metrics, global_metrics
-    from repro.utils.profiler import (
-        disable_global_profiling,
-        global_profiler,
-    )
-    from repro.utils.telemetry import (
-        disable_global_telemetry,
-        global_telemetry,
-    )
-    from repro.utils.tracing import disable_global_tracing, global_tracer
+    from repro.obs import holder
+    from repro.runtime import context
 
     yield
-    leaked = [
-        name
-        for name, get in (
-            ("tracer", global_tracer),
-            ("telemetry sink", global_telemetry),
-            ("profiler", global_profiler),
-            ("metrics registry", global_metrics),
-            ("placement ledger", global_ledger),
-        )
-        if get() is not None
-    ]
-    disable_global_profiling()
-    disable_global_tracing()
-    disable_global_telemetry()
-    disable_global_metrics()
-    disable_global_ledger()
+    leaked = []
+    if holder.observers() is not holder.DISABLED:
+        leaked.append(f"observer record {holder.observers()!r}")
+        holder._OBSERVERS.set(holder.DISABLED)
+    if context.current_context() is not None:
+        leaked.append(f"run context {context.current_context()!r}")
+        context._ACTIVE.set(None)
     if leaked:
-        pytest.fail(
-            "test leaked process-wide singletons: " + ", ".join(leaked)
-        )
+        pytest.fail("test leaked run state: " + ", ".join(leaked))
 
 
 @pytest.fixture(scope="session")

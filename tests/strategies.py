@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from repro.core import DRPInstance, ReplicationScheme
+from repro.core import ReplicationScheme
 from repro.workload import WorkloadSpec, generate_instance
 
 

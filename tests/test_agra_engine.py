@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import AGRA, AGRAParams, GAParams, GRA
-from repro.core import CostModel, ReplicationScheme
+from repro.core import CostModel
 from repro.errors import ValidationError
 from repro.workload import WorkloadSpec, generate_instance, apply_pattern_change
 from repro.workload.mutation import detect_changed_objects

@@ -7,7 +7,7 @@ import pytest
 
 from repro.algorithms import AGRAParams
 from repro.algorithms.agra.micro_ga import run_micro_ga
-from repro.core import CostModel, ReplicationScheme
+from repro.core import CostModel
 from repro.errors import ValidationError
 
 FAST = AGRAParams(population_size=8, generations=15)

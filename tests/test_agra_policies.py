@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.algorithms import AGRAParams, GAParams, GRA
@@ -10,7 +9,6 @@ from repro.algorithms.agra.policies import (
     POLICY_KINDS,
     POLICY_NAMES,
     run_adaptation,
-    run_all_policies,
     run_policy,
 )
 from repro.core import CostModel

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import SRA, RandomReplication, solve_optimal
-from repro.core import CostModel, ReplicationScheme
+from repro.core import CostModel
 from repro.errors import ValidationError
 from repro.workload import WorkloadSpec, generate_instance
 

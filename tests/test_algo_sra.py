@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import SRA, NoReplication
-from repro.core import CostModel, ReplicationScheme
+from repro.core import CostModel
 from repro.errors import ValidationError
 from repro.workload import WorkloadSpec, generate_instance
 

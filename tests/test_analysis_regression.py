@@ -39,13 +39,11 @@ def _entry(seconds, label="", profile="quick", machine=None):
 # --------------------------------------------------------------------- #
 # artifact schema
 # --------------------------------------------------------------------- #
-def test_normalize_upgrades_scalar_algorithm():
-    legacy = {"benchmark": "scale-path", "algorithm": "SRA", "results": []}
-    unified = normalize_bench_artifact(legacy)
-    assert unified["algorithms"] == ["SRA"]
-    assert "algorithm" not in unified
-    # Already-unified payloads pass through unchanged.
-    assert normalize_bench_artifact(unified)["algorithms"] == ["SRA"]
+def test_normalize_keeps_unified_schema():
+    unified = {"benchmark": "scale-path", "algorithms": ["SRA"]}
+    normalized = normalize_bench_artifact(unified)
+    assert normalized["algorithms"] == ["SRA"]
+    assert normalized["results"] == []
 
 
 def test_write_bench_artifact_unified_schema(tmp_path):

@@ -103,7 +103,8 @@ def test_figures_delegates(capsys):
 # --trace / repro trace
 # --------------------------------------------------------------------- #
 def test_solve_trace_gra_spans_match_history(instance_file, tmp_path, capsys):
-    from repro.utils.tracing import global_tracer, read_trace
+    from repro.obs.holder import DISABLED, observers
+    from repro.utils.tracing import read_trace
 
     trace_path = tmp_path / "gra.trace.json"
     assert main([
@@ -112,7 +113,7 @@ def test_solve_trace_gra_spans_match_history(instance_file, tmp_path, capsys):
         "--trace", str(trace_path), "--trace-format", "chrome",
     ]) == 0
     assert "trace written" in capsys.readouterr().out
-    assert global_tracer() is None  # the CLI cleans up after itself
+    assert observers() is DISABLED  # the CLI cleans up after itself
     records = read_trace(str(trace_path))["records"]
     generations = [r for r in records if r["name"] == "gra.generation"]
     # 5 generations + the seeded population = 6 spans, one per

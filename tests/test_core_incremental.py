@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import CostModel, ReplicationScheme
 from repro.core.benefit import replication_benefit
-from repro.core.cost import reference_total_cost
 from repro.core.incremental import (
     IncrementalCostEvaluator,
     eq5_benefit,

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.experiments import PAPER_PROFILE, QUICK_PROFILE, get_profile
-from repro.experiments.config import PROFILE_ENV_VAR, ScaleProfile
+from repro.experiments.config import PROFILE_ENV_VAR
 
 
 def test_quick_is_default(monkeypatch):

@@ -16,10 +16,11 @@ from repro.experiments.parallel import (
     GRAFactory,
     ParallelRunner,
     SRAFactory,
-    configure,
     parallel_average_static_runs,
     resolve_max_workers,
 )
+from repro.obs.holder import DISABLED, observers
+from repro.runtime.context import RunContext
 from repro.utils.metrics import MetricsRegistry
 from repro.workload import WorkloadSpec
 
@@ -188,12 +189,9 @@ def test_resolve_max_workers_precedence(monkeypatch):
     assert resolve_max_workers(3) == 3
     monkeypatch.setenv(PARALLEL_ENV_VAR, "4")
     assert resolve_max_workers() == 4
-    configure(2)
-    try:
-        assert resolve_max_workers() == 2  # configure beats the env var
-        assert resolve_max_workers(5) == 5  # explicit beats configure
-    finally:
-        configure(None)
+    with RunContext(max_workers=2).activate():
+        assert resolve_max_workers() == 2  # the context beats the env var
+        assert resolve_max_workers(5) == 5  # explicit beats the context
     assert resolve_max_workers() == 4
     monkeypatch.setenv(PARALLEL_ENV_VAR, "zero")
     with pytest.raises(ValidationError):
@@ -202,7 +200,7 @@ def test_resolve_max_workers_precedence(monkeypatch):
     with pytest.raises(ValidationError):
         resolve_max_workers()
     with pytest.raises(ValidationError):
-        configure(0)
+        RunContext(max_workers=0)
 
 
 def test_serial_runner_needs_no_executor():
@@ -225,14 +223,8 @@ def _trace_shape(tracer):
 
 
 def test_worker_traces_reparented_under_sweep_root():
-    from repro.utils.tracing import (
-        disable_global_tracing,
-        enable_global_tracing,
-    )
-
-    disable_global_tracing()
-    tracer = enable_global_tracing()
-    try:
+    with RunContext(trace=True).activate() as ctx:
+        tracer = ctx.tracer
         ParallelRunner(max_workers=2).average_static_runs(
             SPEC, FACTORIES, instances=2, seed=7
         )
@@ -258,54 +250,32 @@ def test_worker_traces_reparented_under_sweep_root():
         assert len(solves) >= len(tasks)
         ids = [r["id"] for r in records]
         assert len(ids) == len(set(ids))
-    finally:
-        disable_global_tracing()
 
 
 def test_worker_trace_merge_is_deterministic():
-    from repro.utils.tracing import (
-        disable_global_tracing,
-        enable_global_tracing,
-    )
-
     shapes = []
     for _ in range(2):
-        disable_global_tracing()
-        tracer = enable_global_tracing()
-        try:
+        with RunContext(trace=True).activate() as ctx:
             ParallelRunner(max_workers=2).average_static_runs(
                 SPEC, FACTORIES, instances=2, seed=7
             )
-            shapes.append(_trace_shape(tracer))
-        finally:
-            disable_global_tracing()
+            shapes.append(_trace_shape(ctx.tracer))
     assert shapes[0] == shapes[1]
 
 
 def test_serial_run_traces_inline_without_duplication():
-    from repro.utils.tracing import (
-        disable_global_tracing,
-        enable_global_tracing,
-    )
-
-    disable_global_tracing()
-    tracer = enable_global_tracing()
-    try:
+    with RunContext(trace=True).activate() as ctx:
         ParallelRunner(max_workers=1).average_static_runs(
             SPEC, FACTORIES, instances=2, seed=7
         )
         tasks = [
-            r for r in tracer.records() if r["name"] == "harness.task"
+            r for r in ctx.tracer.records() if r["name"] == "harness.task"
         ]
         assert len(tasks) == len(FACTORIES) * 2
-    finally:
-        disable_global_tracing()
 
 
 def test_no_tracing_no_task_spans():
-    from repro.utils.tracing import global_tracer
-
-    assert global_tracer() is None
+    assert observers() is DISABLED
     averages = ParallelRunner(max_workers=1).average_static_runs(
         SPEC, FACTORIES, instances=1, seed=7
     )
@@ -386,22 +356,13 @@ def _span_name_tree(tracer):
 
 
 def test_chaos_replay_trace_shape_matches_across_modes():
-    from repro.utils.tracing import (
-        disable_global_tracing,
-        enable_global_tracing,
-    )
-
     shapes = []
     for workers in (1, 2):
-        disable_global_tracing()
-        tracer = enable_global_tracing()
-        try:
+        with RunContext(trace=True).activate() as ctx:
             ParallelRunner(max_workers=workers).chaos_replay_runs(
                 SPEC, _chaos_plan(), instances=2, seed=47
             )
-            shapes.append(_span_name_tree(tracer))
-        finally:
-            disable_global_tracing()
+            shapes.append(_span_name_tree(ctx.tracer))
     assert shapes[0] == shapes[1]
     names = [name for name, _ in shapes[0]]
     assert names.count("harness.chaos_task") == 2

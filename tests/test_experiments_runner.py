@@ -54,7 +54,7 @@ def test_parser_accepts_parallel_and_metrics():
 def test_main_metrics_flag_prints_registry(capsys, monkeypatch):
     from repro.experiments import runner as runner_mod
     from repro.experiments.figures import clear_cache
-    from repro.utils.metrics import global_metrics
+    from repro.obs.holder import DISABLED, observers
 
     clear_cache()
     monkeypatch.setattr(runner_mod, "get_profile", lambda name="": MICRO)
@@ -64,8 +64,8 @@ def test_main_metrics_flag_prints_registry(capsys, monkeypatch):
     assert "metrics:" in out
     assert "solve.SRA" in out
     assert "cost.cache_" in out
-    # the flag must not leak a process-wide registry past main()
-    assert global_metrics() is None
+    # the flag must not leak a registry past main()
+    assert observers() is DISABLED
     clear_cache()
 
 
@@ -79,14 +79,15 @@ def test_main_parallel_flag_resets_default(monkeypatch, capsys):
     monkeypatch.setattr(runner_mod, "get_profile", lambda name="": MICRO)
     assert main(["--figure", "fig3a", "--parallel", "2", "--seed", "8"]) == 0
     assert "fig3a" in capsys.readouterr().out
-    # configure(None) restored on exit
+    # the context's worker count ends with main()
     assert resolve_max_workers() == 1
     clear_cache()
 
 
 def test_main_trace_flag_writes_trace(monkeypatch, capsys, tmp_path):
     import repro.experiments.runner as runner_mod
-    from repro.utils.tracing import global_tracer, read_trace
+    from repro.obs.holder import DISABLED, observers
+    from repro.utils.tracing import read_trace
 
     monkeypatch.setattr(runner_mod, "get_profile", lambda name="": MICRO)
     trace_path = tmp_path / "sweep.trace.jsonl"
@@ -94,8 +95,8 @@ def test_main_trace_flag_writes_trace(monkeypatch, capsys, tmp_path):
         "--figure", "fig3a", "--seed", "9", "--trace", str(trace_path),
     ]) == 0
     assert "trace written" in capsys.readouterr().out
-    # the flag must not leak a process-wide tracer past main()
-    assert global_tracer() is None
+    # the flag must not leak a tracer past main()
+    assert observers() is DISABLED
     records = read_trace(str(trace_path))["records"]
     names = {r["name"] for r in records}
     assert "harness.average_static_runs" in names

@@ -7,7 +7,6 @@ import pytest
 
 from repro.algorithms import GAParams, GRA, SRA
 from repro.core import CostModel
-from repro.workload import WorkloadSpec, generate_instance
 
 FAST = GAParams(population_size=10, generations=8)
 

@@ -7,7 +7,6 @@ generations.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.algorithms import GAParams, GRA

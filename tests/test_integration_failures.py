@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import SRA
-from repro.core import CostModel, ReplicationScheme
+from repro.core import CostModel
 from repro.core.availability import failure_report, harden_scheme
 from repro.sim import ReplicaSystem
 from repro.workload import WorkloadSpec, generate_instance, generate_trace

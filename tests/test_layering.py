@@ -7,12 +7,14 @@ which CI additionally runs on a runner that has the tool installed):
    lazily inside functions.  In particular ``repro.core`` (and the other
    kernel layers) may never reach into ``sim``/``experiments``/``cli``/
    ``runtime``.
-2. **Singleton ownership** — the process-wide tracer / telemetry sink /
-   profiler / metrics registry / placement ledger may be mutated
-   (``enable_global_*`` / ``disable_global_*`` / ``temporary_*``) only
-   by their defining modules in ``repro.utils`` / ``repro.obs`` and by
-   ``repro/runtime/``.  Everything else must go through
-   :class:`repro.runtime.context.RunContext`.
+2. **One owner for run state** — the observer record (tracer /
+   telemetry sink / profiler / metrics registry / placement ledger)
+   lives in one context variable that only ``repro/obs/holder.py``
+   touches; everything else pushes a record through
+   :func:`repro.obs.holder.observing` (usually via
+   :class:`repro.runtime.context.RunContext`), which restores the
+   enclosing record on exit.  Besides it, the only context variable in
+   the package is ``RunContext``'s own.
 """
 
 from __future__ import annotations
@@ -59,20 +61,10 @@ FORBIDDEN_IMPORTS: Dict[str, Set[str]] = {
     "runtime": {"cli", "conformance", "experiments", "analysis", "io"},
 }
 
-#: the process-wide singleton mutators and the module defining each
+#: the run-state context variables and the one module allowed to touch each
 MUTATORS: Dict[str, str] = {
-    "enable_global_tracing": "utils/tracing.py",
-    "disable_global_tracing": "utils/tracing.py",
-    "temporary_tracer": "utils/tracing.py",
-    "enable_global_telemetry": "utils/telemetry.py",
-    "disable_global_telemetry": "utils/telemetry.py",
-    "enable_global_profiling": "utils/profiler.py",
-    "disable_global_profiling": "utils/profiler.py",
-    "enable_global_metrics": "utils/metrics.py",
-    "disable_global_metrics": "utils/metrics.py",
-    "enable_global_ledger": "obs/ledger.py",
-    "disable_global_ledger": "obs/ledger.py",
-    "temporary_ledger": "obs/ledger.py",
+    "_OBSERVERS": "obs/holder.py",
+    "_ACTIVE": "runtime/context.py",
 }
 
 
@@ -124,34 +116,51 @@ def test_no_layer_imports_upward():
     )
 
 
-def _mutator_calls(tree: ast.AST) -> Set[str]:
-    called: Set[str] = set()
+def _mutator_refs(tree: ast.AST) -> Set[str]:
+    """Names of run-state variables the module reads, sets or resets."""
+    used: Set[str] = set()
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
         name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
         if name in MUTATORS:
-            called.add(name)
-    return called
+            used.add(name)
+    return used
+
+
+def _context_var_modules() -> List[str]:
+    """One entry per ``ContextVar(...)`` construction in the package."""
+    modules: List[str] = []
+    for rel, _segment, tree in _modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None
+            )
+            if name == "ContextVar":
+                modules.append(rel.replace(os.sep, "/"))
+    return modules
 
 
 def test_only_runtime_mutates_global_singletons():
     violations = []
-    for rel, segment, tree in _modules():
-        if segment == "runtime":
-            continue  # the one legitimate owner outside utils
-        for name in sorted(_mutator_calls(tree)):
+    for rel, _segment, tree in _modules():
+        for name in sorted(_mutator_refs(tree)):
             if rel.replace(os.sep, "/") == MUTATORS[name]:
-                continue  # a mutator's own defining module
-            violations.append(f"{rel} calls {name}()")
+                continue  # the variable's own defining module
+            violations.append(f"{rel} touches {name}")
     assert not violations, (
-        "global-singleton mutations outside repro/runtime/:\n  "
+        "run-state context variables touched outside their owner:\n  "
         + "\n  ".join(violations)
+    )
+    assert sorted(_context_var_modules()) == sorted(MUTATORS.values()), (
+        "run state must live in the observer holder and RunContext only"
     )
 
 

@@ -16,7 +16,7 @@ from repro.obs.causal import (
     message_flow,
     monitor_rounds,
 )
-from repro.runtime import scoped_tracer
+from repro.obs.holder import observing
 from repro.sim import CrashWindow, FaultPlan, LinkDegradation
 from repro.utils.tracing import Tracer
 from repro.workload import WorkloadSpec, generate_instance
@@ -34,7 +34,8 @@ def instance():
 @pytest.fixture(scope="module")
 def dsra_trace(instance):
     """Records and a picklable snapshot of one traced DSRA run."""
-    with scoped_tracer() as tracer:
+    tracer = Tracer()
+    with observing(tracer=tracer):
         DistributedSRA().run(instance)
         return tracer.records(), tracer.snapshot()
 
@@ -87,7 +88,8 @@ def test_lost_message_is_send_without_receive():
 
     from repro.distributed.messages import Message, MessageKind, MessageLog
 
-    with scoped_tracer() as tracer:
+    tracer = Tracer()
+    with observing(tracer=tracer):
         log = MessageLog(np.ones((2, 2)))
         log.record(
             Message(sender=0, receiver=1, kind=MessageKind.STATS,
@@ -128,7 +130,8 @@ def _chaos_plan():
 def test_chaos_replay_dag_identical_serial_vs_parallel():
     canonicals = []
     for workers in (1, 2):
-        with scoped_tracer() as tracer:
+        tracer = Tracer()
+        with observing(tracer=tracer):
             ParallelRunner(max_workers=workers).chaos_replay_runs(
                 SPEC, _chaos_plan(), instances=2, seed=47
             )
@@ -175,7 +178,8 @@ def test_dsra_round_attribution(dsra_trace, instance):
 
 
 def test_monitor_round_attribution(instance):
-    with scoped_tracer() as tracer:
+    tracer = Tracer()
+    with observing(tracer=tracer):
         protocol = MonitorProtocol(instance, monitor_site=0)
         protocol.collect(instance.reads, instance.writes, mode="full")
         protocol.collect(instance.reads, instance.writes, mode="full")

@@ -1,25 +1,19 @@
-"""The placement ledger: recording, scopes, replay, explain, globals."""
+"""The placement ledger: recording, scopes, replay, explain, the run record."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ValidationError
+from repro.obs.holder import DISABLED, observers, observing
 from repro.obs.ledger import (
     PlacementLedger,
-    current_ledger,
-    disable_global_ledger,
-    enable_global_ledger,
     explain_entries,
-    global_ledger,
     read_ledger,
     render_explanation,
-    temporary_ledger,
 )
-from repro.utils.tracing import (
-    disable_global_tracing,
-    enable_global_tracing,
-)
+from repro.runtime.context import RunContext
+from repro.utils.tracing import Tracer
 
 
 # --------------------------------------------------------------------- #
@@ -110,27 +104,25 @@ def test_disabled_ledger_is_a_noop():
 
 
 def test_current_ledger_is_disabled_when_feature_off():
-    assert global_ledger() is None
-    assert not current_ledger().enabled
+    assert observers().ledger is DISABLED.ledger
+    assert not observers().ledger.enabled
     # the shared disabled ledger never accumulates state
-    current_ledger().record("add", obj=0, site=0)
-    assert len(current_ledger()) == 0
+    observers().ledger.record("add", obj=0, site=0)
+    assert len(observers().ledger) == 0
 
 
 # --------------------------------------------------------------------- #
 # causal parent stamping
 # --------------------------------------------------------------------- #
 def test_causal_parent_is_open_span_when_tracing():
-    tracer = enable_global_tracing()
-    try:
+    tracer = Tracer()
+    with observing(tracer=tracer):
         ledger = PlacementLedger()
         with tracer.span("sra.solve") as span:
             inside = ledger.record("add", obj=1, site=2)
         outside = ledger.record("drop", obj=1, site=2)
         assert inside["causal_parent"] == span.id
         assert "causal_parent" not in outside
-    finally:
-        disable_global_tracing()
 
 
 def test_no_causal_parent_without_tracer():
@@ -216,37 +208,32 @@ def test_render_explanation_empty_chain_hint():
 
 
 # --------------------------------------------------------------------- #
-# the process-wide ledger
+# the run's ledger
 # --------------------------------------------------------------------- #
 def test_global_ledger_lifecycle():
-    assert global_ledger() is None
-    ledger = enable_global_ledger()
-    try:
-        assert global_ledger() is ledger
-        assert current_ledger() is ledger
-        # idempotent: a second enable returns the installed ledger
-        assert enable_global_ledger() is ledger
-    finally:
-        disable_global_ledger()
-    assert global_ledger() is None
+    with RunContext(ledger=True).activate() as ctx:
+        ledger = ctx.ledger
+        assert ledger.enabled and observers().ledger is ledger
+        # a nested request adopts the live ledger
+        with RunContext(ledger=True).activate() as inner:
+            assert inner.ledger is ledger
+    assert observers().ledger is DISABLED.ledger
 
 
-def test_temporary_ledger_restores_previous():
-    outer = enable_global_ledger()
-    try:
+def test_scratch_ledger_restores_previous():
+    with RunContext(ledger=True).activate() as ctx:
+        outer = ctx.ledger
         outer.record("add", obj=0, site=0)
-        with temporary_ledger() as inner:
-            assert current_ledger() is inner
-            inner.record("drop", obj=0, site=0)
-        assert current_ledger() is outer
+        with observing(ledger=PlacementLedger()) as scratch:
+            assert observers().ledger is scratch.ledger
+            scratch.ledger.record("drop", obj=0, site=0)
+        assert observers().ledger is outer
         # the scratch ledger never leaked entries into the outer one
         assert [e["action"] for e in outer.entries()] == ["add"]
-    finally:
-        disable_global_ledger()
 
 
-def test_temporary_ledger_restores_on_error():
+def test_scratch_ledger_restores_on_error():
     with pytest.raises(RuntimeError):
-        with temporary_ledger():
+        with observing(ledger=PlacementLedger()):
             raise RuntimeError("boom")
-    assert global_ledger() is None
+    assert observers() is DISABLED

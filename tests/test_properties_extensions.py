@@ -17,7 +17,7 @@ from repro.core.strategies import WriteStrategy, total_cost
 from repro.sim import ReplicaSystem
 from repro.sim.loadmodel import served_units
 from repro.workload import generate_trace
-from tests.strategies import drp_instances, instances_with_schemes
+from tests.strategies import instances_with_schemes
 
 SETTINGS = settings(max_examples=30, deadline=None)
 

@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network.generators import (
-    random_mesh_topology,
-    random_tree_topology,
-    waxman_topology,
-)
+from repro.network.generators import random_mesh_topology, random_tree_topology
 from repro.network.shortest_paths import (
     all_pairs_dijkstra,
     floyd_warshall,

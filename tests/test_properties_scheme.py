@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ReplicationScheme
-from tests.strategies import drp_instances, instances_with_schemes
+from tests.strategies import instances_with_schemes
 
 SETTINGS = settings(max_examples=40, deadline=None)
 

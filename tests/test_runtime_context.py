@@ -10,62 +10,57 @@ deterministic ``RunContext.fork`` child.
 from __future__ import annotations
 
 import pickle
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.obs.holder import DISABLED, observers, observing
+from repro.obs.ledger import PlacementLedger
 from repro.runtime import (
     RunContext,
     ambient_context,
-    configure_parallelism,
     current_context,
     default_registry,
     resolve_max_workers,
 )
-from repro.utils.metrics import global_metrics
-from repro.utils.profiler import global_profiler
-from repro.utils.telemetry import current_sink, global_telemetry
-from repro.utils.tracing import current_tracer, global_tracer
+from repro.utils.metrics import MetricsRegistry
+from repro.utils.profiler import DeterministicProfiler
+from repro.utils.telemetry import TelemetrySink
+from repro.utils.tracing import Tracer
 
 
 # --------------------------------------------------------------------- #
 # lifecycle
 # --------------------------------------------------------------------- #
 def test_install_teardown_owns_everything():
-    ctx = RunContext(trace=True, profile=True, telemetry=True, metrics=True)
+    ctx = RunContext(
+        trace=True, profile=True, telemetry=True, metrics=True, ledger=True
+    )
     assert current_context() is None
     with ctx.activate():
         assert current_context() is ctx
-        assert global_tracer() is not None
-        assert global_profiler() is not None
-        assert global_telemetry() is not None
-        assert global_metrics() is not None
-        assert ctx.tracer.enabled
-        assert ctx.sink.enabled
+        obs = observers()
+        assert obs.tracer is ctx.tracer and obs.tracer.enabled
+        assert obs.profiler is ctx.profiler and obs.profiler.enabled
+        assert obs.sink is ctx.sink and obs.sink.enabled
+        assert obs.metrics is ctx.metrics is not None
+        assert obs.ledger is ctx.ledger and obs.ledger.enabled
     assert current_context() is None
-    assert global_tracer() is None
-    assert global_profiler() is None
-    assert global_telemetry() is None
-    assert global_metrics() is None
+    assert observers() is DISABLED
 
 
 def test_teardown_is_idempotent_and_adopts_preinstalled():
-    from repro.utils.tracing import (
-        disable_global_tracing,
-        enable_global_tracing,
-    )
-
-    pre = enable_global_tracing()
-    try:
+    pre = Tracer()
+    with observing(tracer=pre) as outer:
         ctx = RunContext(trace=True)
         ctx.install()
         assert ctx.tracer is pre, "existing tracer is adopted, not replaced"
         ctx.teardown()
         ctx.teardown()  # second teardown is a no-op
-        assert global_tracer() is pre, "adopted components are left in place"
-    finally:
-        disable_global_tracing()
+        assert observers() is outer, "the enclosing record is restored"
+    assert observers() is DISABLED
 
 
 def test_double_install_rejected_and_installed_not_picklable():
@@ -81,30 +76,70 @@ def test_double_install_rejected_and_installed_not_picklable():
 
 
 def test_explicit_registry_is_not_installed_globally():
-    from repro.utils.metrics import MetricsRegistry
-
     registry = MetricsRegistry()
     with RunContext(telemetry=True, registry=registry).activate() as ctx:
         assert ctx.metrics is registry
-        assert global_metrics() is None
-        assert current_sink().registry is registry
-    assert global_telemetry() is None
+        assert observers().metrics is None
+        assert observers().sink.registry is registry
+    assert observers() is DISABLED
 
 
 def test_parallelism_policy_installed_and_restored(monkeypatch):
     monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-    configure_parallelism(None)
     assert resolve_max_workers() == 1
     with RunContext(max_workers=3).activate():
         assert resolve_max_workers() == 3
+        with RunContext(trace=True).activate():
+            assert resolve_max_workers() == 3, "nested contexts inherit"
+        with RunContext(max_workers=2).activate():
+            assert resolve_max_workers() == 2
+        assert resolve_max_workers(5) == 5, "explicit beats the context"
     assert resolve_max_workers() == 1
     with pytest.raises(ValidationError):
-        configure_parallelism(0)
+        RunContext(max_workers=0)
     monkeypatch.setenv("REPRO_PARALLEL", "4")
     assert resolve_max_workers() == 4
+    with RunContext(max_workers=2).activate():
+        assert resolve_max_workers() == 2, "the context beats the env var"
     monkeypatch.setenv("REPRO_PARALLEL", "zero")
     with pytest.raises(ValidationError):
         resolve_max_workers()
+
+
+#: (RunContext flag, record field, fresh enabled component)
+_COMPONENTS = [
+    ("trace", "tracer", Tracer),
+    ("telemetry", "sink", TelemetrySink),
+    ("profile", "profiler", lambda: DeterministicProfiler(tracer=Tracer())),
+    ("ledger", "ledger", PlacementLedger),
+    ("metrics", "metrics", MetricsRegistry),
+]
+
+
+@pytest.mark.parametrize(
+    "flag,field,make", _COMPONENTS, ids=[c[1] for c in _COMPONENTS]
+)
+@pytest.mark.parametrize("requested", [True, False], ids=["asks", "inherits"])
+@pytest.mark.parametrize("raises", [False, True], ids=["ok", "raises"])
+def test_nested_context_adopts_inherits_and_restores(
+    flag, field, make, requested, raises
+):
+    """An inner context shares the outer's live component either way.
+
+    Asking for a component the enclosing record already has enabled
+    adopts it; not asking inherits it.  Teardown restores the outer
+    record object for object, also when the body raises.
+    """
+    live = make()
+    with observing(**{field: live}) as outer:
+        ctx = RunContext(**{flag: requested})
+        with pytest.raises(RuntimeError) if raises else nullcontext():
+            with ctx.activate():
+                assert getattr(observers(), field) is live
+                if raises:
+                    raise RuntimeError("body failed")
+        assert observers() is outer
+    assert observers() is DISABLED
 
 
 def test_ambient_context_reflects_live_tracer():
@@ -142,7 +177,7 @@ def test_fork_in_process_records_into_live_tracer():
             assert fork.trace_snapshot() is None, (
                 "in-process forks record straight into the live tracer"
             )
-        names = [r.get("name") for r in current_tracer().records()]
+        names = [r.get("name") for r in observers().tracer.records()]
     assert "task" in names
 
 

@@ -18,7 +18,7 @@ from repro.sim import (
     Simulator,
     load_fault_plan,
 )
-from repro.sim.faults import CRASH, HEAL, MessageFaults, ProtocolFaults, RECOVER
+from repro.sim.faults import CRASH, MessageFaults, ProtocolFaults, RECOVER
 from repro.workload import generate_trace
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.algorithms import SRA
 from repro.core import CostModel, ReplicationScheme
-from repro.errors import SimulationError, ValidationError
+from repro.errors import ValidationError
 from repro.sim import ReplicaSystem, Simulator
 from repro.sim.metrics import UPDATE_BROADCAST
 from repro.workload import WorkloadSpec, generate_instance, generate_trace

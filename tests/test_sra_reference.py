@@ -18,7 +18,8 @@ from repro.algorithms.sra import ORDER_RANDOM, ORDER_ROUND_ROBIN, SRA
 from repro.core import CostModel, DRPInstance, ReplicationScheme
 from repro.core.cost import reference_total_cost
 from repro.workload.scale import ScaleSpec, generate_scale_problem
-from repro.obs.ledger import temporary_ledger
+from repro.obs.holder import observing
+from repro.obs.ledger import PlacementLedger
 from repro.workload import SparseProblem, WorkloadSpec, generate_instance
 
 #: site 1 fits one of the two 1.5-unit objects (2.9 < 3.0)
@@ -164,7 +165,8 @@ def test_sra_matches_naive_reference_on_scale_problem(problem, order):
     )
     assert expected_stats["replicas_created"] > 0
     for instance in (dense, problem):
-        with temporary_ledger() as ledger:
+        ledger = PlacementLedger()
+        with observing(ledger=ledger):
             result = SRA(
                 site_order=order, rng=np.random.default_rng(5)
             ).run(instance)

@@ -1,16 +1,12 @@
-"""The metrics registry: counters, timers, snapshots, the global hook."""
+"""The metrics registry: counters, timers, snapshots, the run-wide hook."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.utils.metrics import (
-    Histogram,
-    MetricsRegistry,
-    disable_global_metrics,
-    enable_global_metrics,
-    global_metrics,
-)
+from repro.obs.holder import observers
+from repro.runtime.context import RunContext
+from repro.utils.metrics import Histogram, MetricsRegistry
 
 
 def test_counters_accumulate():
@@ -211,16 +207,14 @@ def test_render_stable_when_disabled():
 
 
 def test_global_registry_lifecycle():
-    disable_global_metrics()
-    assert global_metrics() is None
-    registry = enable_global_metrics()
-    try:
-        assert global_metrics() is registry
-        # idempotent: enabling again returns the same instance
-        assert enable_global_metrics() is registry
-    finally:
-        disable_global_metrics()
-    assert global_metrics() is None
+    assert observers().metrics is None
+    with RunContext(metrics=True).activate() as ctx:
+        registry = ctx.metrics
+        assert observers().metrics is registry
+        # a nested request adopts the live registry
+        with RunContext(metrics=True).activate() as inner:
+            assert inner.metrics is registry
+    assert observers().metrics is None
 
 
 # --------------------------------------------------------------------- #

@@ -7,28 +7,10 @@ import json
 import pytest
 
 from repro.errors import ValidationError
-from repro.utils.profiler import (
-    IDLE_FRAME,
-    DeterministicProfiler,
-    current_profiler,
-    disable_global_profiling,
-    enable_global_profiling,
-    global_profiler,
-)
-from repro.utils.tracing import (
-    Tracer,
-    disable_global_tracing,
-    global_tracer,
-)
-
-
-@pytest.fixture(autouse=True)
-def _no_globals():
-    disable_global_profiling()
-    disable_global_tracing()
-    yield
-    disable_global_profiling()
-    disable_global_tracing()
+from repro.obs.holder import DISABLED, observers
+from repro.runtime import RunContext
+from repro.utils.profiler import IDLE_FRAME, DeterministicProfiler
+from repro.utils.tracing import Tracer
 
 
 def test_tick_captures_open_span_stack():
@@ -115,26 +97,30 @@ def test_write_formats(tmp_path):
 
 
 def test_global_profiler_lifecycle():
-    assert global_profiler() is None
-    assert current_profiler().enabled is False
-    profiler = enable_global_profiling(sample_every=2)
-    assert current_profiler() is profiler
-    # enabling the profiler mutates only its own global; the runtime
-    # layer (RunContext) brings up the tracer alongside it
-    assert global_tracer() is None
-    assert enable_global_profiling() is profiler  # idempotent
-    disable_global_profiling()
-    assert current_profiler().enabled is False
+    assert observers().profiler.enabled is False
+    with RunContext(profile=True, profile_every=2).activate() as ctx:
+        profiler = ctx.profiler
+        assert observers().profiler is profiler
+        assert profiler.sample_every == 2
+        with RunContext(profile=True).activate() as inner:
+            assert inner.profiler is profiler  # adopted, not replaced
+    assert observers().profiler is DISABLED.profiler
+
+
+def test_profiler_without_tracer_samples_idle_frame():
+    profiler = DeterministicProfiler()
+    profiler.tick()
+    assert profiler.collapsed() == f"{IDLE_FRAME} 1"
 
 
 def test_run_context_couples_profiler_and_tracer():
-    from repro.runtime import RunContext
-
     with RunContext(profile=True).activate() as ctx:
-        assert current_profiler() is ctx.profiler
-        assert global_tracer() is not None, "profiling needs the span stack"
-    assert global_tracer() is None
-    assert global_profiler() is None
+        assert observers().profiler is ctx.profiler
+        assert observers().tracer.enabled, "profiling needs the span stack"
+        with ctx.tracer.span("outer"):
+            ctx.profiler.tick()
+        assert ctx.profiler.collapsed() == "outer 1"
+    assert observers() is DISABLED
 
 
 def _profiled_run() -> str:
@@ -144,11 +130,7 @@ def _profiled_run() -> str:
     from repro.workload import WorkloadSpec, generate_instance
     from repro.workload.trace import generate_trace
 
-    from repro.utils.tracing import enable_global_tracing
-
-    enable_global_tracing()  # the profiler samples the tracer's stack
-    profiler = enable_global_profiling()
-    try:
+    with RunContext(profile=True).activate() as ctx:
         instance = generate_instance(
             WorkloadSpec(num_sites=8, num_objects=12), rng=21
         )
@@ -160,10 +142,7 @@ def _profiled_run() -> str:
         simulator = Simulator()
         system.attach(simulator, trace)
         simulator.run()
-        return profiler.collapsed()
-    finally:
-        disable_global_profiling()
-        disable_global_tracing()
+        return ctx.profiler.collapsed()
 
 
 def test_identical_seeded_runs_produce_identical_profiles():

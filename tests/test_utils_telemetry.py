@@ -8,16 +8,14 @@ import math
 import pytest
 
 from repro.errors import ValidationError
+from repro.obs.holder import DISABLED, observers, observing
+from repro.runtime.context import RunContext
 from repro.utils.metrics import MetricsRegistry
 from repro.utils.telemetry import (
     InMemoryExporter,
     JsonlExporter,
     OpenMetricsExporter,
     TelemetrySink,
-    current_sink,
-    disable_global_telemetry,
-    enable_global_telemetry,
-    global_telemetry,
     parse_openmetrics,
     render_families,
     render_openmetrics_snapshot,
@@ -25,13 +23,6 @@ from repro.utils.telemetry import (
     snapshot_families,
     validate_openmetrics,
 )
-
-
-@pytest.fixture(autouse=True)
-def _no_global_sink():
-    disable_global_telemetry()
-    yield
-    disable_global_telemetry()
 
 
 def test_sanitize_metric_name():
@@ -67,19 +58,20 @@ def test_disabled_sink_is_inert():
     sink.set_gauge("repro_x", 1)
     sink.add_to_gauge("repro_x", 1)
     assert sink.snapshot()["gauges"] == {}
-    assert current_sink() is not None
-    assert current_sink().enabled is False  # no global installed
+    assert observers().sink is not None
+    assert observers().sink.enabled is False  # no sink installed
 
 
 def test_global_sink_lifecycle():
-    assert global_telemetry() is None
-    sink = enable_global_telemetry()
-    assert current_sink() is sink
-    assert enable_global_telemetry() is sink  # idempotent
-    registry = MetricsRegistry()
-    assert enable_global_telemetry(registry).registry is registry
-    disable_global_telemetry()
-    assert global_telemetry() is None
+    assert observers().sink is DISABLED.sink
+    with RunContext(telemetry=True).activate() as ctx:
+        sink = ctx.sink
+        assert sink.enabled and observers().sink is sink
+        registry = MetricsRegistry()
+        with RunContext(telemetry=True, registry=registry).activate() as inner:
+            assert inner.sink is sink  # adopted, not replaced
+            assert sink.registry is registry  # a later registry attaches
+    assert observers().sink is DISABLED.sink
 
 
 def test_exporters_receive_snapshots(tmp_path):
@@ -240,10 +232,11 @@ def test_adaptive_loop_snapshots_per_epoch(tmp_path):
     result = SRA().run(instance)
     drifted, _ = apply_pattern_change(instance, 6.0, 0.5, 1.0, rng=9)
     epochs = [instance, drifted]
-    sink = enable_global_telemetry()
+    sink = TelemetrySink()
     exporter = sink.attach_exporter(InMemoryExporter())
-    loop = AdaptiveReplicationLoop(instance, result.scheme, rng=3)
-    loop.run(epochs)
+    with observing(sink=sink):
+        loop = AdaptiveReplicationLoop(instance, result.scheme, rng=3)
+        loop.run(epochs)
     assert len(exporter.snapshots) == len(epochs)
     last = exporter.snapshots[-1]
     assert last["tick"] == len(epochs) - 1
@@ -259,8 +252,9 @@ def test_distributed_sra_publishes_message_counts():
     instance = generate_instance(
         WorkloadSpec(num_sites=5, num_objects=6), rng=2
     )
-    sink = enable_global_telemetry()
-    report = DistributedSRA().run(instance)
+    sink = TelemetrySink()
+    with observing(sink=sink):
+        report = DistributedSRA().run(instance)
     gauges = sink.snapshot()["gauges"]
     assert gauges["repro_dsra_token_rounds"][0]["value"] == float(
         report.token_rounds

@@ -13,21 +13,11 @@ from repro.utils.tracing import (
     FORMAT_JSONL,
     SPAN,
     Tracer,
-    current_tracer,
-    disable_global_tracing,
-    enable_global_tracing,
-    global_tracer,
     read_trace,
 )
+from repro.obs.holder import DISABLED, observers
+from repro.runtime.context import RunContext
 from repro.utils.trace_summary import build_tree
-
-
-@pytest.fixture(autouse=True)
-def _no_global_tracer():
-    """Keep the process-wide tracer off before and after every test."""
-    disable_global_tracing()
-    yield
-    disable_global_tracing()
 
 
 # --------------------------------------------------------------------- #
@@ -246,19 +236,19 @@ def test_disabled_tracer_records_nothing():
 
 
 def test_current_tracer_is_disabled_singleton_when_off():
-    assert global_tracer() is None
-    tracer = current_tracer()
+    tracer = observers().tracer
+    assert tracer is DISABLED.tracer
     assert tracer.enabled is False
-    assert current_tracer() is tracer
+    assert observers().tracer is tracer
 
 
 def test_global_tracer_lifecycle():
-    tracer = enable_global_tracing()
-    assert global_tracer() is tracer
-    assert current_tracer() is tracer
-    assert enable_global_tracing() is tracer  # idempotent
-    disable_global_tracing()
-    assert global_tracer() is None
+    with RunContext(trace=True).activate() as ctx:
+        tracer = ctx.tracer
+        assert tracer.enabled and observers().tracer is tracer
+        with RunContext(trace=True).activate() as inner:
+            assert inner.tracer is tracer  # adopted, not replaced
+    assert observers().tracer is DISABLED.tracer
 
 
 def test_reset_clears_everything():

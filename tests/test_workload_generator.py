@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.network.shortest_paths import is_metric
 from repro.workload import WorkloadSpec, generate_instance, generate_instances
