@@ -32,12 +32,11 @@ import numpy as np
 
 from repro.core.benefit import (
     benefit_matrix,
-    benefit_matrix_blocked,
     deallocation_estimate,
     deallocation_estimates_for_site,
+    replication_benefit,
 )
 from repro.core.cost import CostModel
-from repro.core.incremental import IncrementalCostEvaluator
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
@@ -306,8 +305,8 @@ def _check_sra_benefit_ordering(ctx: ConformanceContext) -> List[str]:
 
 @invariant(
     "eq5-eq6-consistency",
-    "the Eq. 5 benefit and Eq. 6 estimate are one arithmetic across the "
-    "matrix, blocked, and evaluator implementations",
+    "the vectorised Eq. 5 benefit matrix and Eq. 6 estimates equal the "
+    "scalar formulas cell by cell",
 )
 def _check_eq5_eq6_consistency(ctx: ConformanceContext) -> List[str]:
     out: List[str] = []
@@ -315,31 +314,21 @@ def _check_eq5_eq6_consistency(ctx: ConformanceContext) -> List[str]:
     uf = ctx.update_fraction
     p0 = ReplicationScheme.primary_only(instance)
     full = benefit_matrix(instance, p0, update_fraction=uf)
-    blocked = benefit_matrix_blocked(
-        instance, p0, update_fraction=uf, tile=3
-    )
-    if not np.array_equal(full, blocked, equal_nan=True):
-        bad = np.nonzero(~((full == blocked) | (np.isnan(full)
-                                                & np.isnan(blocked))))
-        out.append(
-            f"benefit_matrix_blocked differs from benefit_matrix at "
-            f"{len(bad[0])} cells (first: {bad[0][0]}, {bad[1][0]})"
-        )
-    evaluator = IncrementalCostEvaluator(ctx.model, p0)
-    try:
-        for site in range(instance.num_sites):
-            objs = np.nonzero(~p0.matrix[site])[0]
-            if objs.size == 0:
-                continue
-            via_evaluator = evaluator.benefits(site, objs)
-            if not np.array_equal(via_evaluator, full[site, objs]):
+    if not np.array_equal(np.isnan(full), p0.matrix):
+        out.append("benefit_matrix is not NaN exactly at the held cells")
+    for obj in range(instance.num_objects):
+        nearest = p0.nearest_sites(obj)
+        for site in np.nonzero(~p0.matrix[:, obj])[0]:
+            scalar = replication_benefit(
+                instance, p0, int(site), obj,
+                nearest=int(nearest[site]), update_fraction=uf,
+            )
+            if scalar != full[site, obj]:
                 out.append(
-                    f"evaluator.benefits at site {site} diverges from "
-                    f"benefit_matrix"
+                    f"Eq. 5 matrix/scalar mismatch at (site {site}, "
+                    f"object {obj}): {full[site, obj]!r} vs {scalar!r}"
                 )
-                break
-    finally:
-        evaluator.detach()
+                return out
     scheme = ctx.scheme
     for site in range(instance.num_sites):
         vec = deallocation_estimates_for_site(

@@ -15,17 +15,13 @@ from repro.core.scheme import ReplicationScheme
 from repro.core.cost import CostModel, SparseCostModel, cost_model_for
 from repro.core.benefit import (
     benefit_matrix,
-    benefit_matrix_blocked,
     deallocation_estimate,
     deallocation_estimates_for_site,
+    eq5_benefit,
     replication_benefit,
 )
 from repro.core.fitness import fitness_from_costs, savings_percent
-from repro.core.incremental import (
-    IncrementalCostEvaluator,
-    Move,
-    eq5_benefit,
-)
+from repro.core.incremental import IncrementalCostEvaluator
 from repro.core.strategies import WriteStrategy, compare_strategies
 
 __all__ = [
@@ -37,11 +33,9 @@ __all__ = [
     "SparseCostModel",
     "cost_model_for",
     "IncrementalCostEvaluator",
-    "Move",
     "eq5_benefit",
     "replication_benefit",
     "benefit_matrix",
-    "benefit_matrix_blocked",
     "deallocation_estimate",
     "deallocation_estimates_for_site",
     "fitness_from_costs",

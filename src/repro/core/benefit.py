@@ -25,10 +25,25 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.incremental import eq5_benefit
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
+
+
+def eq5_benefit(read_count, nearest_cost, other_writes, cost_to_primary,
+                update_fraction: float = 1.0):
+    """The Eq. 5 benefit ``B_ik`` (read gain minus attracted updates).
+
+    Accepts scalars or aligned arrays; this is the single definition of
+    the benefit arithmetic shared by :func:`replication_benefit`,
+    :func:`benefit_matrix` and the distributed
+    :class:`~repro.distributed.node.SiteNode`, keeping their values
+    bit-identical by construction.
+    """
+    return (
+        read_count * nearest_cost
+        - update_fraction * other_writes * cost_to_primary
+    )
 
 
 def replication_benefit(
@@ -54,8 +69,8 @@ def replication_benefit(
     other_writes = float(instance.writes[:, obj].sum()) - float(
         instance.writes[site, obj]
     )
-    # The arithmetic lives in eq5_benefit, shared with the SRA scan, the
-    # incremental evaluator and the distributed site nodes.
+    # The arithmetic lives in eq5_benefit, shared with benefit_matrix
+    # and the distributed site nodes.
     return eq5_benefit(
         float(instance.reads[site, obj]),
         float(instance.cost[site, nearest]),
@@ -89,55 +104,6 @@ def benefit_matrix(
         )
         held = scheme.matrix[:, k]
         out[:, k] = np.where(held, np.nan, values)
-    return out
-
-
-def benefit_matrix_blocked(
-    instance,
-    scheme: ReplicationScheme,
-    update_fraction: float = 1.0,
-    tile: int = 256,
-) -> np.ndarray:
-    """Eq. 5 matrix evaluated in object-column tiles of width ``tile``.
-
-    Accepts a dense :class:`~repro.core.problem.DRPInstance` **or** a
-    sparse problem (anything whose ``reads``/``writes`` expose
-    ``dense_block``/``column_sums``): read/write counts are densified
-    one tile at a time, so peak extra memory is ``O(M * tile)`` instead
-    of the two dense ``(M, N)`` count matrices.  Values are
-    **bit-identical** to :func:`benefit_matrix` on the densified
-    problem — the arithmetic is elementwise :func:`eq5_benefit` on
-    exact integer gathers, which cannot depend on tiling.
-    """
-    if tile < 1:
-        raise ValidationError(f"tile width must be >= 1, got {tile}")
-    m, n = instance.num_sites, instance.num_objects
-    out = np.full((m, n), np.nan)
-    reads, writes = instance.reads, instance.writes
-    sparse = hasattr(reads, "dense_block")
-    total_writes = (
-        writes.column_sums() if sparse else writes.sum(axis=0)
-    )
-    for start in range(0, n, tile):
-        stop = min(start + tile, n)
-        if sparse:
-            reads_blk = reads.dense_block(start, stop)
-            writes_blk = writes.dense_block(start, stop)
-        else:
-            reads_blk = reads[:, start:stop]
-            writes_blk = writes[:, start:stop]
-        for off in range(stop - start):
-            k = start + off
-            nearest = scheme.nearest_sites(k)
-            values = eq5_benefit(
-                reads_blk[:, off],
-                instance.cost[np.arange(m), nearest],
-                total_writes[k] - writes_blk[:, off],
-                instance.cost[:, instance.primaries[k]],
-                update_fraction,
-            )
-            held = scheme.matrix[:, k]
-            out[:, k] = np.where(held, np.nan, values)
     return out
 
 
@@ -234,9 +200,9 @@ def deallocation_estimates_for_site(
 
 
 __all__ = [
+    "eq5_benefit",
     "replication_benefit",
     "benefit_matrix",
-    "benefit_matrix_blocked",
     "deallocation_estimate",
     "deallocation_estimates_for_site",
 ]

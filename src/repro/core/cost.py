@@ -38,6 +38,10 @@ from repro.utils.validation import check_fraction
 
 SchemeLike = Union[ReplicationScheme, np.ndarray]
 
+#: ``ndarray.sum()`` dispatches here after two wrapper frames; binding
+#: the ufunc directly keeps the identical C reduction without them
+_add_reduce = np.add.reduce
+
 
 class CostModel:
     """Vectorised evaluator of the total network transfer cost ``D``.
@@ -156,10 +160,6 @@ class CostModel:
         """``(start, weights)`` of the tile holding ``obj``."""
         return 0, self._weights
 
-    def _tiles(self):
-        """Every ``(start, stop, weights)`` tile, in object order."""
-        yield 0, self._instance.num_objects, self._weights
-
     # ------------------------------------------------------------------ #
     # per-object weight columns (the kernels consume these or whole
     # tiles, never the full matrices, so tile-backed subclasses can swap
@@ -196,39 +196,49 @@ class CostModel:
         primary must be a replicator; this is *not* re-checked here for
         speed — schemes enforce it structurally.
         """
-        start, weights = self._tile(obj)
-        return self._timed_cost(
-            np.asarray(column, dtype=bool), obj - start, weights
-        )
+        return self._timed_cost(obj, np.asarray(column, dtype=bool))
 
-    def _timed_cost(self, mask: np.ndarray, col: int, weights) -> float:
+    def _timed_cost(self, obj: int, mask: np.ndarray) -> float:
         if self._metrics is not None:
             with self._metrics.timer("cost.object_cost"):
-                return self._column_cost(mask, col, weights)
-        return self._column_cost(mask, col, weights)
+                return self._column_cost(obj, mask)
+        return self._column_cost(obj, mask)
 
-    def _column_cost(self, mask: np.ndarray, col: int, weights) -> float:
-        """Eq. 4 NTC of tile column ``col`` under the replica ``mask``."""
-        read_w, write_w, to_primary, total_w = weights
-        reps = mask.nonzero()[0]
-        # Reads: every site reads from its nearest replicator; replicator
-        # rows contribute zero because min cost over reps includes self.
+    def _column_cost(self, obj: int, mask: np.ndarray) -> float:
+        """:meth:`column_cost` with the nearest distances computed fresh.
+
+        Every site reads from its nearest replicator; replicator rows see
+        distance zero because the min over the replicators includes self.
+        """
+        nearest = self._cost_t[mask.nonzero()[0]].min(axis=0)
+        return self.column_cost(obj, mask, nearest)
+
+    def column_cost(
+        self, obj: int, mask: np.ndarray, nearest: np.ndarray
+    ) -> float:
+        """Eq. 4 NTC of object ``obj`` under the replica ``mask``.
+
+        ``nearest`` holds every site's distance to its nearest replicator
+        (zero at the replicators).  This is the one per-column Eq. 4
+        expression: the full recompute, the one-shot deltas and the
+        incremental evaluator (which passes its maintained distances)
+        all price through it, so they agree bit for bit.
+        """
+        start, (read_w, write_w, to_primary, total_w) = self._tile(obj)
+        col = obj - start
         # The weight column is copied contiguous before the dot: BLAS
         # picks its ddot kernel (and with it the accumulation order) by
         # operand stride, and the dense and tile-backed models store the
-        # column at different strides — the copy pins every evaluation
-        # path to the unit-stride kernel so costs stay bit-identical on
-        # non-integer cost matrices.
-        nearest_cost = self._cost_t[reps].min(axis=0)
-        read_term = float(
-            np.ascontiguousarray(read_w[:, col]) @ nearest_cost
-        )
+        # column at different strides — the copy pins every model to the
+        # unit-stride kernel so costs stay bit-identical on non-integer
+        # cost matrices.
+        read_term = float(np.ascontiguousarray(read_w[:, col]) @ nearest)
         # Writes: non-replicators ship their own writes to the primary;
         # replicators are charged for all writes (own + received updates).
         to_primary = to_primary[:, col]
         nonrep = ~mask
         nonrep_writes = float(write_w[:, col][nonrep] @ to_primary[nonrep])
-        rep_writes = float(to_primary[mask].sum() * total_w[col])
+        rep_writes = float(_add_reduce(to_primary[mask]) * total_w[col])
         return read_term + nonrep_writes + rep_writes
 
     def object_cost_cached(
@@ -426,14 +436,10 @@ class CostModel:
         with observers().tracer.span(
             "cost.d_prime", objects=self._instance.num_objects
         ):
-            for start, stop, weights in self._tiles():
-                for k in range(start, stop):
-                    primary = primaries[k]
-                    column[primary] = True
-                    per_object[k] = self._timed_cost(
-                        column, k - start, weights
-                    )
-                    column[primary] = False
+            for k in range(self._instance.num_objects):
+                column[primaries[k]] = True
+                per_object[k] = self._timed_cost(k, column)
+                column[primaries[k]] = False
         self._d_prime_per_object = per_object
 
     # ------------------------------------------------------------------ #
@@ -453,9 +459,8 @@ class CostModel:
     def total_cost(self, scheme: SchemeLike, cached: bool = True) -> float:
         """``D(X)`` — Eq. 4 summed over all objects.
 
-        One walk over the weight tiles; each object is looked up in,
-        priced for and inserted into the memo exactly as
-        :meth:`object_cost_cached` would, in object order.
+        Each object is looked up in, priced for and inserted into the
+        memo exactly as :meth:`object_cost_cached` would, in object order.
         """
         mat = self._as_matrix(scheme)
         if isinstance(scheme, ReplicationScheme):
@@ -466,17 +471,16 @@ class CostModel:
                 return np.packbits(mat[:, k]).tobytes()
         cached = cached and self._cache_size > 0
         total = 0.0
-        for start, stop, weights in self._tiles():
-            for k in range(start, stop):
-                if cached:
-                    key = (k, digest(k))
-                    value = self._cache_lookup(key)
-                    if value is None:
-                        value = self._timed_cost(mat[:, k], k - start, weights)
-                        self._cache_insert(key, value)
-                else:
-                    value = self._timed_cost(mat[:, k], k - start, weights)
-                total += value
+        for k in range(self._instance.num_objects):
+            if cached:
+                key = (k, digest(k))
+                value = self._cache_lookup(key)
+                if value is None:
+                    value = self._timed_cost(k, mat[:, k])
+                    self._cache_insert(key, value)
+            else:
+                value = self._timed_cost(k, mat[:, k])
+            total += value
         return float(total)
 
     def d_prime(self) -> float:
@@ -525,9 +529,7 @@ class CostModel:
         """
         if scheme.holds(site, obj):
             raise ValueError(f"site {site} already holds object {obj}")
-        from repro.core.incremental import single_add_delta
-
-        return single_add_delta(self, scheme, site, obj)
+        return self._flip_delta(scheme, site, obj)
 
     def drop_delta(
         self, scheme: ReplicationScheme, site: int, obj: int
@@ -537,9 +539,16 @@ class CostModel:
             raise ValueError(f"site {site} does not hold object {obj}")
         if int(self._instance.primaries[obj]) == int(site):
             raise ValueError(f"cannot drop primary copy of object {obj}")
-        from repro.core.incremental import single_drop_delta
+        return self._flip_delta(scheme, site, obj)
 
-        return single_drop_delta(self, scheme, site, obj)
+    def _flip_delta(
+        self, scheme: ReplicationScheme, site: int, obj: int
+    ) -> float:
+        """Price ``obj``'s column before and after flipping ``site``."""
+        mask = scheme.matrix[:, obj].copy()
+        before = self._column_cost(obj, mask)
+        mask[site] = not mask[site]
+        return self._column_cost(obj, mask) - before
 
     # ------------------------------------------------------------------ #
     # decomposition (Eq. 1 and Eq. 2, used by tests and the simulator)
@@ -613,10 +622,10 @@ class SparseCostModel(CostModel):
     the same BLAS stride class as dense ``(M, N)`` columns — by never
     producing a width-1 tile (a trailing remainder of one column is
     merged into the previous tile).  The per-object LRU memo, the batch
-    kernel and the incremental delta machinery are all inherited
-    unchanged: they only consume the per-object column accessors.  The
-    tile walk of ``total_cost`` and ``d_prime`` is inherited too; it
-    builds each tile once per pass through :meth:`_tiles`.
+    kernel, the Eq. 4 column kernel and the incremental evaluator are
+    all inherited unchanged: they fetch weights through :meth:`_tile`,
+    so an object-order pass (``total_cost``, ``d_prime``) builds each
+    tile once.
     """
 
     has_dense_weights = False
@@ -666,6 +675,9 @@ class SparseCostModel(CostModel):
         self._tile_starts = starts
         self._tile_cache: "OrderedDict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]" = OrderedDict()
         self._max_tiles = 2
+        # (start, stop, weights) of the last tile served: object-order
+        # passes hit it without the binary search.
+        self._recent: Tuple[int, int, object] = (0, 0, None)
         self._cost_t = np.ascontiguousarray(problem.cost.T)
 
     # ------------------------------------------------------------------ #
@@ -673,6 +685,9 @@ class SparseCostModel(CostModel):
     # ------------------------------------------------------------------ #
     def _tile(self, obj: int):
         """``(start, (rw, ww, ctp, tw))`` of the tile holding ``obj``."""
+        start, stop, entry = self._recent
+        if start <= obj < stop:  # already the LRU's newest entry
+            return start, entry
         starts = self._tile_starts
         lo, hi = 0, len(starts)
         while hi - lo > 1:  # rightmost start <= obj
@@ -690,12 +705,12 @@ class SparseCostModel(CostModel):
             self._tile_cache[start] = entry
         else:
             self._tile_cache.move_to_end(start)
+        stop = (
+            starts[lo + 1] if lo + 1 < len(starts)
+            else self._instance.num_objects
+        )
+        self._recent = (start, stop, entry)
         return start, entry
-
-    def _tiles(self):
-        starts = self._tile_starts + [self._instance.num_objects]
-        for start, stop in zip(starts, starts[1:]):
-            yield start, stop, self._tile(start)[1]
 
     def _build_tile(self, pos: int):
         starts = self._tile_starts

@@ -1,12 +1,10 @@
 """Incremental evaluation of the Eq. 4 cost under single-replica moves.
 
-Every optimisation layer in this reproduction — SRA's greedy scan, the
-GA population evaluators, local search, the adaptive loop — explores the
-scheme space one replica flip at a time, yet historically priced each
-flip with a full per-object recompute (an ``O(M * R_k)`` nearest-replica
-min-reduction plus cache-key packing).  The change in Eq. 4 under one
-flip only needs the flipped site's write terms and the read terms of the
-sites whose nearest replica changed, which is ``O(M)`` once the
+Local search and the adaptive loop explore the scheme space one replica
+flip at a time.  A full per-object recompute prices each flip with an
+``O(M * R_k)`` nearest-replica min-reduction; the change in Eq. 4 under
+one flip only needs the flipped site's write terms and the read terms of
+the sites whose nearest replica changed, which is ``O(M)`` once the
 nearest-replica structure is maintained incrementally.
 
 :class:`IncrementalCostEvaluator` wraps a :class:`~repro.core.cost.
@@ -18,29 +16,31 @@ maintains, per object:
   second-nearest (the two-nearest invariant), so dropping a replica
   repairs the nearest table in ``O(M)`` without a full rescan — only
   rows that pointed at the dropped site fall back to their second
-  choice, and only those rows rescan for a new runner-up;
-* the object's write-sum (sum of replicator-to-primary costs).
+  choice, and only those rows rescan for a new runner-up.
 
-Deltas are **exact**, not estimates: every value is computed with the
-same arithmetic expressions (same operand order, same reductions) as
-``CostModel._column_cost``, so evaluator costs are bit-identical to the
-full recompute.  The property suite pins this equality against
+Deltas are **exact**, not estimates: the evaluator prices every column
+through the model's one Eq. 4 kernel, :meth:`~repro.core.cost.CostModel.
+column_cost`, handing it the maintained nearest distances instead of a
+fresh min-reduction.  Evaluator costs are therefore bit-identical to the
+full recompute and to the one-shot ``CostModel.add_delta``/``drop_delta``;
+the property suite pins this against
 :func:`~repro.core.cost.reference_total_cost`.
 
-Consistency with the wrapped scheme is listener-based: the evaluator
-subscribes to the scheme's change notifications, so *any* mutation —
-through :meth:`IncrementalCostEvaluator.apply` or a direct
-``scheme.add_replica`` — patches the evaluator state atomically with the
-mutation.  Priced moves are version-stamped; applying a move priced
-against a state that has since changed raises
-:class:`~repro.errors.StaleEvaluatorError` instead of silently
-mis-accounting.
+The API is what the callers use: :meth:`~IncrementalCostEvaluator.
+delta_add`/:meth:`~IncrementalCostEvaluator.delta_drop` price a flip,
+:meth:`~IncrementalCostEvaluator.apply_add`/:meth:`~IncrementalCostEvaluator.
+apply_drop` realise one, :meth:`~IncrementalCostEvaluator.revert` undoes
+the latest mutation and :meth:`~IncrementalCostEvaluator.rebind_model`
+adopts an epoch's drifted read/write patterns.  Consistency with the
+wrapped scheme is listener-based: the evaluator subscribes to the
+scheme's change notifications, so *any* mutation — through the evaluator
+or a direct ``scheme.add_replica`` — patches the evaluator state
+atomically with the mutation.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
 
 import numpy as np
@@ -50,55 +50,18 @@ from repro.core.scheme import ReplicationScheme
 from repro.errors import StaleEvaluatorError, ValidationError
 from repro.obs.holder import observers
 
-#: move kinds understood by :meth:`IncrementalCostEvaluator.apply`
+#: scheme change kinds (listener notifications and undo records)
 ADD = "add"
 DROP = "drop"
-
-#: ``ndarray.sum()`` dispatches here after two wrapper frames; binding
-#: the ufunc directly keeps the identical C reduction without them
-_add_reduce = np.add.reduce
-
-
-def eq5_benefit(read_count, nearest_cost, other_writes, cost_to_primary,
-                update_fraction: float = 1.0):
-    """The Eq. 5 benefit ``B_ik`` (read gain minus attracted updates).
-
-    Accepts scalars or aligned arrays; this is the single definition of
-    the benefit arithmetic shared by :mod:`repro.core.benefit`, the SRA
-    scan and the distributed :class:`~repro.distributed.node.SiteNode`,
-    keeping their values bit-identical by construction.
-    """
-    return (
-        read_count * nearest_cost
-        - update_fraction * other_writes * cost_to_primary
-    )
-
-
-@dataclass(frozen=True)
-class Move:
-    """One priced single-replica move, stamped with the evaluator state.
-
-    ``delta`` is the exact change in total cost ``D`` the move would
-    cause; ``version`` identifies the evaluator state the delta was
-    priced against (:meth:`IncrementalCostEvaluator.apply` refuses moves
-    whose version no longer matches).
-    """
-
-    kind: str
-    site: int
-    obj: int
-    delta: float
-    version: int
 
 
 class _Undo:
     """Snapshot of one object's state rows, for :meth:`revert`."""
 
     __slots__ = ("kind", "site", "obj", "d1", "n1", "d2", "n2", "cost",
-                 "version", "col_version")
+                 "col_version")
 
-    def __init__(self, kind, site, obj, d1, n1, d2, n2, cost, version,
-                 col_version):
+    def __init__(self, kind, site, obj, d1, n1, d2, n2, cost, col_version):
         self.kind = kind
         self.site = site
         self.obj = obj
@@ -107,7 +70,6 @@ class _Undo:
         self.d2 = d2
         self.n2 = n2
         self.cost = cost
-        self.version = version
         self.col_version = col_version
 
 
@@ -155,8 +117,8 @@ class IncrementalCostEvaluator:
         ``cost.delta_*`` counters and ``cost.delta`` timer flow into).
     scheme:
         The live scheme.  The evaluator attaches a change listener, so
-        every mutation — its own :meth:`apply` or direct calls on the
-        scheme — updates the cached state atomically.
+        every mutation — :meth:`apply_add`/:meth:`apply_drop` or direct
+        calls on the scheme — updates the cached state atomically.
     max_undo:
         Bounded depth of the :meth:`revert` history (older snapshots are
         discarded silently).
@@ -188,7 +150,7 @@ class IncrementalCostEvaluator:
         # Live view of the scheme's X matrix; mutated in place by the
         # scheme, so one lookup serves every delta.
         self._x = scheme.matrix
-        self._bind_weights(model)
+        self._metrics = model.metrics
         m, n = self._instance.num_sites, self._instance.num_objects
         self._d1 = np.empty((n, m))
         self._d2 = np.empty((n, m))
@@ -209,46 +171,12 @@ class IncrementalCostEvaluator:
         self._col_counter = 0
         self._memo_add: dict = {}
         self._memo_drop: dict = {}
-        self._version = 0
         self._undo: Deque[_Undo] = deque(maxlen=max_undo)
         self._suppress = False
         self._priced = 0
         self._applied = 0
         self._reverted = 0
         scheme.attach_listener(self._on_scheme_change)
-
-    def _bind_weights(self, model: CostModel) -> None:
-        # Shared references, not copies: _column_cost must index these
-        # exactly like CostModel._column_cost does (same views, same
-        # strides) so the dot products take the same accumulation path
-        # and results stay bit-identical to the full recompute.
-        self._dense_weights = getattr(model, "has_dense_weights", True)
-        if self._dense_weights:
-            self._read_weight = model.read_weight
-            self._write_weight = model.write_weight
-            self._ctp_all = model.cost_to_primary
-            self._total_w = model.total_write_weight
-            self._write_totals = self._instance.writes.sum(axis=0)
-            # Object-major contiguous rows for the boolean gathers below.
-            # Gather outputs are freshly contiguous whatever the source
-            # layout, so the dot/sum operands (and hence the bits) are
-            # unchanged — only the gather itself gets cheaper.
-            self._ww_T = np.ascontiguousarray(self._write_weight.T)
-            self._ctp_T = np.ascontiguousarray(self._ctp_all.T)
-        else:
-            # Sparse-backed model: weights stay tiled inside the model
-            # and are fetched per object through the column accessors
-            # (tile columns keep the dense columns' stride class, and
-            # gather outputs are freshly contiguous either way, so the
-            # reductions below are bit-identical to the dense branch).
-            self._read_weight = None
-            self._write_weight = None
-            self._ctp_all = None
-            self._total_w = None
-            self._ww_T = None
-            self._ctp_T = None
-            self._write_totals = self._instance.writes.column_sums()
-        self._metrics = model.metrics
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -261,11 +189,6 @@ class IncrementalCostEvaluator:
     def model(self) -> CostModel:
         return self._model
 
-    @property
-    def version(self) -> int:
-        """Monotonic state stamp; bumps per mutation, restored by revert."""
-        return self._version
-
     def total_cost(self) -> float:
         """Current ``D(X)``; summed in the same order as the full path."""
         return float(sum(self._obj_cost))
@@ -273,14 +196,6 @@ class IncrementalCostEvaluator:
     def object_cost(self, obj: int) -> float:
         """Current Eq. 4 term of one object."""
         return self._obj_cost[obj]
-
-    def nearest_distance(self, site: int, obj: int) -> float:
-        """Maintained ``C(site, SN_site,obj)`` (0 for replicators)."""
-        return float(self._d1[obj, site])
-
-    def nearest_distances(self, obj: int) -> np.ndarray:
-        """Per-site nearest-replica distances of one object (copy)."""
-        return self._d1[obj].copy()
 
     # ------------------------------------------------------------------ #
     # state construction / repair
@@ -292,47 +207,12 @@ class IncrementalCostEvaluator:
         self._n1[obj] = n1
         self._d2[obj] = d2
         self._n2[obj] = n2
-        self._obj_cost[obj] = self._column_cost(
-            obj, self._x[:, obj], self._d1[obj]
-        )
+        self._obj_cost[obj] = self._column_cost(obj)
 
-    def _column_cost(
-        self, obj: int, mask: np.ndarray, d1: np.ndarray
-    ) -> float:
-        """Eq. 4 term from a nearest-distance row.
-
-        Mirrors ``CostModel._column_cost`` expression by expression —
-        same operand views, same strides, same reduction order — so the
-        result is bit-identical to the full recompute whenever ``d1``
-        equals the nearest-replica distances.
-        """
-        # read_term copies the weight column contiguous before the dot,
-        # matching CostModel._column_cost: vector layout steers BLAS
-        # onto a different accumulation path, and this is the one term
-        # where that matters.
-        if self._dense_weights:
-            read_term = float(
-                np.ascontiguousarray(self._read_weight[:, obj]) @ d1
-            )
-            to_primary = self._ctp_T[obj]
-            write_col = self._ww_T[obj]
-            total_w = self._total_w[obj]
-        else:
-            model = self._model
-            read_term = float(
-                np.ascontiguousarray(model.read_weight_col(obj)) @ d1
-            )
-            to_primary = model.cost_to_primary_col(obj)
-            write_col = model.write_weight_col(obj)
-            total_w = model.total_write_weight_of(obj)
-        nonrep = ~mask
-        nonrep_writes = float(
-            write_col[nonrep] @ to_primary[nonrep]
-        )
-        rep_writes = float(
-            _add_reduce(to_primary[mask]) * total_w
-        )
-        return read_term + nonrep_writes + rep_writes
+    def _column_cost(self, obj: int) -> float:
+        """Eq. 4 term of ``obj``'s current column from the maintained
+        nearest distances (bit-identical to the full recompute)."""
+        return self._model.column_cost(obj, self._x[:, obj], self._d1[obj])
 
     # ------------------------------------------------------------------ #
     # pricing
@@ -363,7 +243,7 @@ class IncrementalCostEvaluator:
         d1_new = np.minimum(self._d1[obj], self._cost_T[site])
         mask = self._x[:, obj].copy()
         mask[site] = True
-        after = self._column_cost(obj, mask, d1_new)
+        after = self._model.column_cost(obj, mask, d1_new)
         return after - self._obj_cost[obj]
 
     def delta_drop(self, site: int, obj: int) -> float:
@@ -395,76 +275,26 @@ class IncrementalCostEvaluator:
         d1_new = np.where(affected, self._d2[obj], self._d1[obj])
         mask = self._x[:, obj].copy()
         mask[site] = False
-        after = self._column_cost(obj, mask, d1_new)
+        after = self._model.column_cost(obj, mask, d1_new)
         return after - self._obj_cost[obj]
-
-    def move_add(self, site: int, obj: int) -> Move:
-        """Price an add and stamp it for :meth:`apply`."""
-        return Move(ADD, site, obj, self.delta_add(site, obj),
-                    self._version)
-
-    def move_drop(self, site: int, obj: int) -> Move:
-        """Price a drop and stamp it for :meth:`apply`."""
-        return Move(DROP, site, obj, self.delta_drop(site, obj),
-                    self._version)
-
-    def benefits(self, site: int, objs: np.ndarray) -> np.ndarray:
-        """Eq. 5 benefit of replicating each of ``objs`` at ``site``.
-
-        Uses the maintained nearest-distance table; the arithmetic is
-        :func:`eq5_benefit`, shared with :mod:`repro.core.benefit`.
-        """
-        inst = self._instance
-        if self._dense_weights:
-            reads_row = inst.reads[site, objs]
-            writes_row = inst.writes[site, objs]
-        else:
-            # Integer gathers from densified rows — exact, so the
-            # benefit arithmetic below is unchanged bit for bit.
-            reads_row = inst.reads.row_dense(site)[objs]
-            writes_row = inst.writes.row_dense(site)[objs]
-        other_writes = self._write_totals[objs] - writes_row
-        return eq5_benefit(
-            reads_row,
-            self._d1[objs, site],
-            other_writes,
-            inst.cost[site, inst.primaries[objs]],
-            self._model.update_fraction,
-        )
 
     # ------------------------------------------------------------------ #
     # mutation
     # ------------------------------------------------------------------ #
-    def apply(self, move: Move) -> float:
-        """Realise a priced move on the scheme (and, via the listener,
-        on the evaluator state).  Returns the move's delta.
-
-        Raises :class:`~repro.errors.StaleEvaluatorError` when the scheme
-        mutated since the move was priced.
-        """
-        if move.version != self._version:
-            raise StaleEvaluatorError(move.version, self._version)
-        if move.kind == ADD:
-            self._scheme.add_replica(move.site, move.obj)
-        elif move.kind == DROP:
-            self._scheme.drop_replica(move.site, move.obj)
-        else:
-            raise ValidationError(f"unknown move kind {move.kind!r}")
-        return move.delta
-
     def apply_add(self, site: int, obj: int) -> None:
-        """Add a replica through the evaluator (no staleness window)."""
+        """Add a replica (the listener patches the evaluator state)."""
         self._scheme.add_replica(site, obj)
 
     def apply_drop(self, site: int, obj: int) -> None:
-        """Drop a replica through the evaluator (no staleness window)."""
+        """Drop a replica (the listener patches the evaluator state)."""
         self._scheme.drop_replica(site, obj)
 
     def revert(self) -> None:
         """Undo the most recent mutation (evaluator- or scheme-driven).
 
-        Restores the scheme, the cached state *and* the version stamp, so
-        moves priced before the reverted mutation become valid again.
+        Restores the scheme and the cached state bitwise, so deltas
+        priced before the reverted mutation are served from the memo
+        again.
         """
         if not self._undo:
             raise ValidationError("nothing to revert")
@@ -483,7 +313,6 @@ class IncrementalCostEvaluator:
         self._d2[obj] = record.d2
         self._n2[obj] = record.n2
         self._obj_cost[obj] = record.cost
-        self._version = record.version
         # The column is back to its pre-mutation content, so deltas
         # memoised against it become valid again.
         self._col_version[obj] = record.col_version
@@ -496,7 +325,7 @@ class IncrementalCostEvaluator:
         self._scheme.detach_listener(self._on_scheme_change)
 
     # ------------------------------------------------------------------ #
-    # listener (single update path for apply() and direct mutations)
+    # listener (single update path for every mutation)
     # ------------------------------------------------------------------ #
     def _on_scheme_change(self, kind: str, site: int, obj: int) -> None:
         if self._suppress:
@@ -506,8 +335,7 @@ class IncrementalCostEvaluator:
                 kind, site, obj,
                 self._d1[obj].copy(), self._n1[obj].copy(),
                 self._d2[obj].copy(), self._n2[obj].copy(),
-                self._obj_cost[obj], self._version,
-                self._col_version[obj],
+                self._obj_cost[obj], self._col_version[obj],
             )
         )
         # Fresh column version: memoised deltas of this object no longer
@@ -519,10 +347,7 @@ class IncrementalCostEvaluator:
             self._state_add(site, obj)
         else:
             self._state_drop(site, obj)
-        self._obj_cost[obj] = self._column_cost(
-            obj, self._x[:, obj], self._d1[obj]
-        )
-        self._version += 1
+        self._obj_cost[obj] = self._column_cost(obj)
         self._applied += 1
         if self._metrics is not None:
             self._metrics.increment("cost.delta_apply")
@@ -583,14 +408,11 @@ class IncrementalCostEvaluator:
             or inst.num_objects != self._instance.num_objects
         ):
             raise StaleEvaluatorError(
-                message=(
-                    f"rebind_model got a problem of shape "
-                    f"({inst.num_sites} sites, {inst.num_objects} "
-                    f"objects) but the evaluator state was built for "
-                    f"({self._instance.num_sites}, "
-                    f"{self._instance.num_objects}); build a fresh "
-                    f"evaluator and re-price the move"
-                )
+                f"rebind_model got a problem of shape "
+                f"({inst.num_sites} sites, {inst.num_objects} objects) "
+                f"but the evaluator state was built for "
+                f"({self._instance.num_sites}, "
+                f"{self._instance.num_objects}); build a fresh evaluator"
             )
         if (
             not np.array_equal(inst.cost, self._instance.cost)
@@ -603,22 +425,16 @@ class IncrementalCostEvaluator:
             )
         self._model = model
         self._instance = inst
-        self._cost = inst.cost
-        self._bind_weights(model)
-        matrix = self._scheme.matrix
+        self._metrics = model.metrics
         for k in range(inst.num_objects):
-            self._obj_cost[k] = self._column_cost(
-                k, matrix[:, k], self._d1[k]
-            )
+            self._obj_cost[k] = self._column_cost(k)
         self._undo.clear()
         # Deltas were priced under the old weights.
         self._memo_add.clear()
         self._memo_drop.clear()
-        self._version += 1
 
     def consistency_check(self) -> None:
         """Assert the cached state matches a from-scratch rebuild (tests)."""
-        matrix = self._scheme.matrix
         for k in range(self._instance.num_objects):
             reps = self._scheme.replicators(k)
             d1, _, d2, _ = _two_nearest(self._cost, reps)
@@ -626,81 +442,12 @@ class IncrementalCostEvaluator:
                 raise AssertionError(f"object {k}: stale nearest distances")
             if not np.array_equal(d2, self._d2[k]):
                 raise AssertionError(f"object {k}: stale second distances")
-            expected = self._column_cost(k, matrix[:, k], self._d1[k])
-            if expected != self._obj_cost[k]:
+            if self._column_cost(k) != self._obj_cost[k]:
                 raise AssertionError(f"object {k}: stale cost term")
-
-
-# --------------------------------------------------------------------- #
-# one-shot deltas (no evaluator state): the thin adapters CostModel's
-# add_delta/drop_delta collapse onto
-# --------------------------------------------------------------------- #
-def single_add_delta(
-    model: CostModel, scheme: ReplicationScheme, site: int, obj: int
-) -> float:
-    """Exact add delta computed from scratch in one O(M*R) pass.
-
-    Same arithmetic as :meth:`IncrementalCostEvaluator.delta_add`, so the
-    value is bit-identical whether priced here or through a live
-    evaluator.
-    """
-    reps = scheme.replicators(obj)
-    cost = model.instance.cost
-    d1 = cost[:, reps].min(axis=1)
-    mask = scheme.matrix[:, obj].copy()
-    before = _adapter_cost(model, obj, mask, d1)
-    c = np.ascontiguousarray(cost[:, site])
-    mask[site] = True
-    after = _adapter_cost(model, obj, mask, np.minimum(d1, c))
-    return after - before
-
-
-def single_drop_delta(
-    model: CostModel, scheme: ReplicationScheme, site: int, obj: int
-) -> float:
-    """Exact drop delta computed from scratch in one O(M*R) pass."""
-    reps = scheme.replicators(obj)
-    cost = model.instance.cost
-    d1 = cost[:, reps].min(axis=1)
-    mask = scheme.matrix[:, obj].copy()
-    before = _adapter_cost(model, obj, mask, d1)
-    mask[site] = False
-    remaining = reps[reps != site]
-    after = _adapter_cost(
-        model, obj, mask, cost[:, remaining].min(axis=1)
-    )
-    return after - before
-
-
-def _adapter_cost(
-    model: CostModel, obj: int, mask: np.ndarray, d1: np.ndarray
-) -> float:
-    """``CostModel._column_cost`` with the nearest distances precomputed.
-
-    Goes through the per-object column accessors, so it prices dense
-    and sparse-backed (tiled) models alike: for dense models the
-    accessors return the very same column views the original expression
-    indexed, and tile columns share their stride class, so the value is
-    bit-identical either way.
-    """
-    read_term = float(model.read_weight_col(obj) @ d1)
-    to_primary = model.cost_to_primary_col(obj)
-    nonrep = ~mask
-    nonrep_writes = float(
-        model.write_weight_col(obj)[nonrep] @ to_primary[nonrep]
-    )
-    rep_writes = float(
-        to_primary[mask].sum() * model.total_write_weight_of(obj)
-    )
-    return read_term + nonrep_writes + rep_writes
 
 
 __all__ = [
     "ADD",
     "DROP",
-    "Move",
     "IncrementalCostEvaluator",
-    "eq5_benefit",
-    "single_add_delta",
-    "single_drop_delta",
 ]

@@ -14,7 +14,7 @@ from typing import List, Optional, Set
 
 import numpy as np
 
-from repro.core.incremental import eq5_benefit
+from repro.core.benefit import eq5_benefit
 from repro.core.problem import DRPInstance
 from repro.errors import ProtocolError
 

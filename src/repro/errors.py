@@ -40,30 +40,14 @@ class PrimaryCopyError(ReproError):
 
 
 class StaleEvaluatorError(ReproError):
-    """An incremental-evaluator move was applied against a changed scheme.
+    """An incremental evaluator was rebound to a problem of another shape.
 
-    Raised by :meth:`repro.core.incremental.IncrementalCostEvaluator.apply`
-    when the scheme mutated (directly or through another move) after the
-    move's delta was priced, so applying it would silently account costs
-    against a state that no longer exists.  Re-price the move against the
-    current state instead.
+    Raised by
+    :meth:`repro.core.incremental.IncrementalCostEvaluator.rebind_model`
+    when the new model's problem has a different number of sites or
+    objects than the one the evaluator's nearest-replica state was built
+    for.  That state cannot carry over; build a fresh evaluator instead.
     """
-
-    def __init__(
-        self,
-        move_version: "int | None" = None,
-        current_version: "int | None" = None,
-        message: "str | None" = None,
-    ) -> None:
-        self.move_version = move_version
-        self.current_version = current_version
-        if message is None:
-            message = (
-                f"move was priced against evaluator state "
-                f"v{move_version} but the scheme is now at "
-                f"v{current_version}; re-price the move"
-            )
-        super().__init__(message)
 
 
 class InfeasibleProblemError(ReproError):

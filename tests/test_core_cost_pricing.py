@@ -146,7 +146,8 @@ def test_small_cache_evicts_in_lru_order():
 
 def test_sparse_tiling_merges_trailing_width_one_tile():
     model = dict(MODELS)["sparse-tile2"]()
-    tiles = [(start, stop) for start, stop, _ in model._tiles()]
+    bounds = model._tile_starts + [NUM_OBJECTS]
+    tiles = list(zip(bounds, bounds[1:]))
     assert tiles[-1] == (NUM_OBJECTS - 3, NUM_OBJECTS)
     assert all(stop - start == 2 for start, stop in tiles[:-1])
 

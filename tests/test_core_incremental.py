@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core import CostModel, ReplicationScheme
-from repro.core.benefit import replication_benefit
-from repro.core.incremental import (
-    IncrementalCostEvaluator,
+from repro.conformance.corpus import default_corpus
+from repro.core.benefit import (
+    benefit_matrix,
     eq5_benefit,
-    single_add_delta,
-    single_drop_delta,
+    replication_benefit,
 )
+from repro.core.incremental import IncrementalCostEvaluator
 from repro.errors import StaleEvaluatorError, ValidationError
 
 
@@ -76,20 +76,44 @@ def test_delta_drop_matches_full_recompute(small_instance):
     assert ev.total_cost() == model.total_cost(scheme)
 
 
-def test_cost_model_delta_adapters_agree_with_evaluator(small_instance):
-    """Satellite: CostModel.add_delta/drop_delta are thin adapters."""
-    model, scheme, ev = _fresh(small_instance)
+def _waxman_instance():
+    """The conformance corpus's float-cost Waxman scenario (10x15)."""
+    return next(
+        scenario for scenario in default_corpus()
+        if scenario.name == "waxman-topology"
+    ).build()
+
+
+@pytest.mark.parametrize("case", ["small", "waxman"])
+def test_cost_model_delta_adapters_agree_with_evaluator(case, small_instance):
+    """CostModel.add_delta/drop_delta and the evaluator price through one
+    Eq. 4 kernel, so they agree bit for bit — on float costs too."""
+    instance = small_instance if case == "small" else _waxman_instance()
+    model, scheme, ev = _fresh(instance)
+    remaining = scheme.remaining_capacity()
+    for site in range(instance.num_sites):
+        for obj in range(instance.num_objects):
+            if (
+                not scheme.holds(site, obj)
+                and remaining[site] >= instance.sizes[obj]
+            ):
+                assert model.add_delta(scheme, site, obj) == ev.delta_add(
+                    site, obj
+                )
     rng = np.random.default_rng(2)
-    site, obj = _feasible_add(small_instance, scheme, rng)
-    assert model.add_delta(scheme, site, obj) == ev.delta_add(site, obj)
-    assert single_add_delta(model, scheme, site, obj) == ev.delta_add(
-        site, obj
-    )
-    scheme.add_replica(site, obj)
-    assert model.drop_delta(scheme, site, obj) == ev.delta_drop(site, obj)
-    assert single_drop_delta(model, scheme, site, obj) == ev.delta_drop(
-        site, obj
-    )
+    for _ in range(4):
+        pick = _feasible_add(instance, scheme, rng)
+        if pick is not None:
+            scheme.add_replica(*pick)
+    droppable = [
+        (site, obj)
+        for site in range(instance.num_sites)
+        for obj in range(instance.num_objects)
+        if scheme.holds(site, obj) and int(instance.primaries[obj]) != site
+    ]
+    assert droppable
+    for site, obj in droppable:
+        assert model.drop_delta(scheme, site, obj) == ev.delta_drop(site, obj)
 
 
 def test_delta_validation_errors(small_instance):
@@ -106,44 +130,23 @@ def test_delta_validation_errors(small_instance):
 
 
 # --------------------------------------------------------------------- #
-# apply / revert / staleness
+# apply / revert
 # --------------------------------------------------------------------- #
 def test_apply_and_revert_roundtrip(small_instance):
     model, scheme, ev = _fresh(small_instance)
     rng = np.random.default_rng(3)
     site, obj = _feasible_add(small_instance, scheme, rng)
     total0 = ev.total_cost()
-    version0 = ev.version
-    move = ev.move_add(site, obj)
-    assert ev.apply(move) == move.delta
+    delta = ev.delta_add(site, obj)
+    ev.apply_add(site, obj)
     assert scheme.holds(site, obj)
-    assert ev.version == version0 + 1
+    assert ev.total_cost() == model.total_cost(scheme)
     ev.revert()
     assert not scheme.holds(site, obj)
-    assert ev.version == version0
     assert ev.total_cost() == total0
     ev.consistency_check()
-    # The version was restored, so the pre-mutation move is valid again.
-    assert ev.apply(move) == move.delta
-
-
-def test_stale_move_raises(small_instance):
-    model, scheme, ev = _fresh(small_instance)
-    rng = np.random.default_rng(4)
-    site, obj = _feasible_add(small_instance, scheme, rng)
-    move = ev.move_add(site, obj)
-    # Direct mutation between pricing and apply invalidates the move.
-    other_site, other_obj = next(
-        pick
-        for pick in (
-            _feasible_add(small_instance, scheme, rng) for _ in range(50)
-        )
-        if pick is not None and pick != (site, obj)
-    )
-    scheme.add_replica(other_site, other_obj)
-    with pytest.raises(StaleEvaluatorError) as err:
-        ev.apply(move)
-    assert "re-price" in str(err.value)
+    # The column is back to the one the delta was priced against.
+    assert ev.delta_add(site, obj) == delta
 
 
 def test_direct_scheme_mutations_patch_evaluator(small_instance):
@@ -170,20 +173,18 @@ def test_detach_freezes_state(small_instance):
 
 
 # --------------------------------------------------------------------- #
-# Eq. 5 dedup regression (satellite): one arithmetic, two entry points
+# Eq. 5: one arithmetic, two entry points
 # --------------------------------------------------------------------- #
 def test_eq5_entry_points_identical(small_instance):
-    model, scheme, ev = _fresh(small_instance)
-    objs = np.arange(small_instance.num_objects)
+    scheme = ReplicationScheme.primary_only(small_instance)
+    matrix = benefit_matrix(small_instance, scheme)
     for site in range(small_instance.num_sites):
-        via_evaluator = ev.benefits(site, objs)
-        for k in objs:
-            if scheme.holds(site, int(k)):
+        for k in range(small_instance.num_objects):
+            if scheme.holds(site, k):
+                assert np.isnan(matrix[site, k])
                 continue
-            direct = replication_benefit(
-                small_instance, scheme, site, int(k)
-            )
-            assert direct == via_evaluator[k]
+            direct = replication_benefit(small_instance, scheme, site, k)
+            assert direct == matrix[site, k]
 
 
 def test_eq5_benefit_formula():

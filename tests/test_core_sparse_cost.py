@@ -17,8 +17,6 @@ from repro.core import (
     IncrementalCostEvaluator,
     ReplicationScheme,
     SparseCostModel,
-    benefit_matrix,
-    benefit_matrix_blocked,
     cost_model_for,
 )
 from repro.errors import ValidationError
@@ -134,33 +132,6 @@ class TestSparseCostModel:
 
 
 # --------------------------------------------------------------------- #
-# blocked Eq. 5 benefit kernel
-# --------------------------------------------------------------------- #
-class TestBenefitMatrixBlocked:
-    @pytest.mark.parametrize("tile", [2, 5, 256])
-    def test_matches_reference_on_dense_input(self, dense_instance, tile):
-        scheme = grown_scheme(dense_instance)
-        ref = benefit_matrix(dense_instance, scheme, update_fraction=0.5)
-        blk = benefit_matrix_blocked(
-            dense_instance, scheme, update_fraction=0.5, tile=tile
-        )
-        assert np.array_equal(np.isnan(ref), np.isnan(blk))
-        mask = ~np.isnan(ref)
-        assert np.array_equal(ref[mask], blk[mask])
-
-    def test_matches_reference_on_sparse_input(
-        self, dense_instance, sparse_problem
-    ):
-        scheme_d = grown_scheme(dense_instance)
-        scheme_s = grown_scheme(sparse_problem)
-        ref = benefit_matrix(dense_instance, scheme_d)
-        blk = benefit_matrix_blocked(sparse_problem, scheme_s, tile=4)
-        mask = ~np.isnan(ref)
-        assert np.array_equal(np.isnan(ref), np.isnan(blk))
-        assert np.array_equal(ref[mask], blk[mask])
-
-
-# --------------------------------------------------------------------- #
 # algorithms on sparse problems
 # --------------------------------------------------------------------- #
 class TestAlgorithmsOnSparse:
@@ -263,21 +234,3 @@ class TestIncrementalOnSparse:
                 sparse_eval.apply_add(site, obj)
                 assert sparse_eval.total_cost() == dense_eval.total_cost()
         sparse_eval.consistency_check()
-
-    def test_evaluator_benefits_parity(
-        self, dense_instance, sparse_problem
-    ):
-        dense_eval = IncrementalCostEvaluator(
-            CostModel(dense_instance),
-            ReplicationScheme.primary_only(dense_instance),
-        )
-        sparse_eval = IncrementalCostEvaluator(
-            SparseCostModel(sparse_problem, tile=4),
-            ReplicationScheme.primary_only(sparse_problem),
-        )
-        objs = np.arange(dense_instance.num_objects)
-        for site in range(dense_instance.num_sites):
-            assert np.array_equal(
-                dense_eval.benefits(site, objs),
-                sparse_eval.benefits(site, objs),
-            )

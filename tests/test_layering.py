@@ -6,7 +6,8 @@ which CI additionally runs on a runner that has the tool installed):
 1. **Import layering** — lower layers must not import higher ones, even
    lazily inside functions.  In particular ``repro.core`` (and the other
    kernel layers) may never reach into ``sim``/``experiments``/``cli``/
-   ``runtime``.
+   ``runtime``.  Inside ``core``, the cost model never imports the
+   incremental evaluator that builds on it.
 2. **One owner for run state** — the observer record (tracer /
    telemetry sink / profiler / metrics registry / placement ledger)
    lives in one context variable that only ``repro/obs/holder.py``
@@ -61,6 +62,11 @@ FORBIDDEN_IMPORTS: Dict[str, Set[str]] = {
     "runtime": {"cli", "conformance", "experiments", "analysis", "io"},
 }
 
+#: module -> modules it must NOT import (directly or lazily)
+FORBIDDEN_MODULE_IMPORTS: Dict[str, Set[str]] = {
+    "core/cost.py": {"repro.core.incremental"},
+}
+
 #: the run-state context variables and the one module allowed to touch each
 MUTATORS: Dict[str, str] = {
     "_OBSERVERS": "obs/holder.py",
@@ -85,19 +91,28 @@ def _modules() -> Iterator[Tuple[str, str, ast.AST]]:
             yield rel, segment, tree
 
 
-def _imported_repro_segments(tree: ast.AST) -> Set[str]:
-    segments: Set[str] = set()
+def _imported_modules(tree: ast.AST) -> Set[str]:
+    """Every absolute module name the tree imports, at any depth."""
+    modules: Set[str] = set()
     for node in ast.walk(tree):
-        names: List[str] = []
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            modules.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             if node.level == 0 and node.module:
-                names = [node.module]
-        for name in names:
-            parts = name.split(".")
-            if parts[0] == "repro" and len(parts) > 1:
-                segments.add(parts[1])
+                # ``from a.b import c`` may import the module ``a.b.c``
+                modules.add(node.module)
+                modules.update(
+                    f"{node.module}.{alias.name}" for alias in node.names
+                )
+    return modules
+
+
+def _imported_repro_segments(tree: ast.AST) -> Set[str]:
+    segments: Set[str] = set()
+    for name in _imported_modules(tree):
+        parts = name.split(".")
+        if parts[0] == "repro" and len(parts) > 1:
+            segments.add(parts[1])
     return segments
 
 
@@ -113,6 +128,27 @@ def test_no_layer_imports_upward():
     assert not violations, (
         "layering violations (lower layers importing upward):\n  "
         + "\n  ".join(violations)
+    )
+
+
+def test_no_module_imports_a_forbidden_module():
+    violations = []
+    for rel, _segment, tree in _modules():
+        forbidden = FORBIDDEN_MODULE_IMPORTS.get(rel.replace(os.sep, "/"))
+        if not forbidden:
+            continue
+        imported = _imported_modules(tree)
+        bad = {
+            module for module in forbidden
+            if any(
+                name == module or name.startswith(module + ".")
+                for name in imported
+            )
+        }
+        if bad:
+            violations.append(f"{rel} imports {', '.join(sorted(bad))}")
+    assert not violations, (
+        "module-level layering violations:\n  " + "\n  ".join(violations)
     )
 
 

@@ -147,7 +147,6 @@ def test_revert_restores_totals_bitwise(pair, seed):
     ev = IncrementalCostEvaluator(model, scheme)
     rng = np.random.default_rng(seed)
     snapshot = ev.total_cost()
-    version = ev.version
     applied = 0
     for _ in range(8):
         site = int(rng.integers(instance.num_sites))
@@ -161,5 +160,4 @@ def test_revert_restores_totals_bitwise(pair, seed):
     for _ in range(applied):
         ev.revert()
     assert ev.total_cost() == snapshot
-    assert ev.version == version
     ev.consistency_check()
