@@ -9,7 +9,9 @@ test:
 	pytest tests/
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	@set -e; for w in paper-static scale-sparse adaptive-writes; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 30 --trace 0; \
+	done
 
 figures:
 	repro-experiments --all

@@ -38,7 +38,7 @@ class GAParams:
         (paper: one quarter), validity preserved.
     selection:
         ``"mu+lambda"`` (paper) or ``"simple"`` (plain SGA sampling space,
-        kept for the ablation benchmark).
+        kept for the ``gra-design`` ablation).
     elitism:
         Keep the elite re-injection enabled (disable for the ablation).
     seeded_init:

@@ -1,28 +1,22 @@
-"""The benchmark ledger: record wall-clock history, watch for regressions.
+"""The benchmark regression gate: a change's perfbench records against its parent's.
 
-The repo's performance claims (the sparse scale path, GA throughput)
-are only checkable over *time* — a single ``BENCH_*.json`` artifact says
-what one commit did on one machine, not whether the next commit got
-slower.  This module adds the missing axis:
+``perfbench/run.py`` is the one timed harness.  ``BENCHMARK.json`` names
+its workloads and end-to-end metrics, and every untraced run writes one
+record, ``perfbench/out/<workload>-seed<seed>-trace0.json``.
+:func:`check_records` compares two directories of such records, the
+parent's and the change's.  Per workload and per end-to-end metric it
+flags the change when its median is worse than the parent's median
 
-* :func:`write_bench_artifact` — the one writer the pytest benchmark
-  suites go through, so every ``BENCH_*.json`` artifact shares a schema
-  (``benchmark``/``algorithms``/``results``).
-  :func:`normalize_bench_artifact` fills in missing fields on read.
-* ``BENCH_history.jsonl`` — one JSON line per ``repro bench record``
-  run: machine fingerprint, profile tier, and median-of-k wall-clock
-  for every micro-benchmark in :data:`BENCH_SUITE`.
-* :func:`compare_entries` — noise-aware deltas of the newest entry
-  against a baseline.  The noise floor per benchmark is the median
-  absolute deviation (MAD) over that machine's history, so a benchmark
-  that naturally jitters by 10% does not page anyone at +12%, while a
-  stable one does.
-* :func:`render_report` — a markdown trend table for humans and CI job
-  summaries.
+* by more than the metric's ``bound`` (a fraction of the parent's
+  median), *and*
+* by more than the parent's own spread (max minus min over its records),
 
-``repro bench record | report | check`` is the CLI surface;
-``check`` exits non-zero when any benchmark regressed beyond the
-threshold *and* above its noise floor.
+where "worse" follows the metric's ``better`` field.  A workload whose
+change records fail a larger share of their correctness checks than the
+parent's is flagged too.  ``repro bench check PARENT CHANGE [SPEC]`` is
+the CLI surface; it exits 1 when anything is flagged.
+
+:func:`machine_info` is the fingerprint perfbench stamps on every record.
 """
 
 from __future__ import annotations
@@ -30,181 +24,21 @@ from __future__ import annotations
 import json
 import os
 import platform
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from pathlib import Path
+from statistics import median
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.errors import ValidationError
 
-#: schema version stamped on every history line
-HISTORY_VERSION = 1
-
-#: default ledger location (repo root; committed so trends survive)
-DEFAULT_HISTORY = "BENCH_history.jsonl"
-
-#: a regression must exceed both the ratio threshold and the noise floor
-DEFAULT_THRESHOLD = 1.25
-
-#: per-benchmark repeats; the median is recorded
-DEFAULT_REPEATS = 3
-
-#: absolute slack (seconds) under which a slowdown is never flagged —
-#: protects millisecond-scale benchmarks from scheduler jitter before
-#: the history is deep enough for a MAD estimate
-DEFAULT_MIN_DELTA = 0.010
-
-
-# --------------------------------------------------------------------- #
-# shared BENCH_*.json artifact writer
-# --------------------------------------------------------------------- #
-def write_bench_artifact(
-    path: str,
-    benchmark: str,
-    algorithms: Sequence[str],
-    results: List[Dict[str, object]],
-    extra: Optional[Dict[str, object]] = None,
-    merge_on: Optional[str] = None,
-) -> str:
-    """Write a benchmark artifact in the unified schema; returns ``path``.
-
-    ``algorithms`` is always a list.  With ``merge_on`` set to a result key, records already in
-    the file whose key value is not being rewritten are preserved — the
-    scale suite uses this so the slow ``large`` tier accumulates next to
-    the quick tiers instead of clobbering them.
-    """
-    payload: Dict[str, object] = {
-        "benchmark": benchmark,
-        "algorithms": list(algorithms),
-        "results": results,
-    }
-    if extra:
-        payload.update(extra)
-    if merge_on is not None and os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as fp:
-                existing = normalize_bench_artifact(json.load(fp))
-        except (ValueError, OSError):
-            existing = {"results": []}
-        seen = {record.get(merge_on) for record in results}
-        payload["results"] = [
-            record
-            for record in existing.get("results", [])
-            if record.get(merge_on) not in seen
-        ] + results
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, indent=2, sort_keys=True)
-    return path
-
-
-def normalize_bench_artifact(
-    payload: Dict[str, object],
-) -> Dict[str, object]:
-    """A copy of a unified-schema artifact with both list fields present."""
-    out = dict(payload)
-    out["algorithms"] = list(out.get("algorithms", []))
-    out.setdefault("results", [])
-    return out
-
-
-# --------------------------------------------------------------------- #
-# the recorded micro-benchmark suite
-# --------------------------------------------------------------------- #
-def _bench_sra_solve() -> None:
-    from repro.algorithms.sra import SRA
-    from repro.workload import WorkloadSpec, generate_instance
-
-    instance = generate_instance(
-        WorkloadSpec(num_sites=30, num_objects=60), rng=11
-    )
-    SRA().run(instance)
-
-
-def _bench_sra_scale_small() -> None:
-    from repro.algorithms.sra import SRA
-    from repro.workload.scale import (
-        SCALE_TIERS,
-        ScaleSpec,
-        generate_scale_problem,
-    )
-
-    sites, objects = SCALE_TIERS["small"]
-    problem = generate_scale_problem(
-        ScaleSpec(num_sites=sites, num_objects=objects), rng=11
-    )
-    SRA().run(problem)
-
-
-def _bench_gra_evolve() -> None:
-    from repro.algorithms import GAParams, GRA
-    from repro.workload import WorkloadSpec, generate_instance
-
-    instance = generate_instance(
-        WorkloadSpec(num_sites=12, num_objects=24), rng=11
-    )
-    GRA(GAParams(generations=20, population_size=30), rng=3).run(instance)
-
-
-def _bench_hill_climb_incremental() -> None:
-    from repro.algorithms.localsearch import HillClimbing
-    from repro.workload import WorkloadSpec, generate_instance
-
-    instance = generate_instance(
-        WorkloadSpec(num_sites=25, num_objects=50, capacity_ratio=0.25),
-        rng=11,
-    )
-    HillClimbing(rng=7).run(instance)
-
-
-def _bench_sim_replay() -> None:
-    from repro.algorithms.sra import SRA
-    from repro.sim import ReplicaSystem
-    from repro.workload import WorkloadSpec, generate_instance
-    from repro.workload.trace import generate_trace
-
-    instance = generate_instance(
-        WorkloadSpec(num_sites=16, num_objects=32), rng=11
-    )
-    result = SRA().run(instance)
-    trace = generate_trace(instance, duration=2.0, rng=5)
-    ReplicaSystem(instance, result.scheme).replay(trace)
-
-
-def _bench_cost_batch() -> None:
-    from repro.core import CostModel
-    from repro.workload import WorkloadSpec, generate_instance
-
-    instance = generate_instance(
-        WorkloadSpec(num_sites=48, num_objects=96), rng=11
-    )
-    model = CostModel(instance)
-    rng = np.random.default_rng(2)
-    columns = rng.random((64, instance.num_sites)) < 0.3
-    primaries = instance.primaries
-    for obj in range(0, instance.num_objects, 8):
-        cols = columns.copy()
-        cols[:, int(primaries[obj])] = True
-        model.object_costs_batch(obj, cols)
-
-
-#: name -> zero-argument callable; every entry runs in-process and is
-#: deterministic (fixed seeds), so only the *machine* varies run to run
-BENCH_SUITE: Dict[str, Callable[[], None]] = {
-    "sra_solve": _bench_sra_solve,
-    "sra_scale_small": _bench_sra_scale_small,
-    "gra_evolve": _bench_gra_evolve,
-    "hill_climb_incremental": _bench_hill_climb_incremental,
-    "sim_replay": _bench_sim_replay,
-    "cost_batch": _bench_cost_batch,
-}
-
 
 def machine_info() -> Dict[str, object]:
     """A fingerprint of the machine the numbers were produced on.
 
-    Comparing across different fingerprints is refused by ``check`` —
-    a laptop-vs-CI delta measures the hardware, not the code.
+    :func:`check_records` refuses to compare records whose fingerprints
+    differ: a laptop-vs-CI delta measures the hardware, not the code.
     """
     return {
         "platform": platform.platform(),
@@ -215,327 +49,198 @@ def machine_info() -> Dict[str, object]:
     }
 
 
-def record_entry(
-    repeats: int = DEFAULT_REPEATS,
-    label: str = "",
-    profile: str = "",
-    scale_seconds: float = 1.0,
-    suite: Optional[Dict[str, Callable[[], None]]] = None,
-) -> Dict[str, object]:
-    """Run the suite and return one history entry (not yet persisted).
+@dataclass(frozen=True)
+class MetricDelta:
+    """One workload's end-to-end metric, parent median against change median."""
 
-    ``scale_seconds`` multiplies every measured time before recording —
-    a test/CI hook for exercising the regression check with a known
-    injected slowdown (``repro bench record --scale-seconds 1.5``).
-    """
-    if repeats < 1:
-        raise ValidationError(f"repeats must be >= 1, got {repeats}")
-    if scale_seconds <= 0:
-        raise ValidationError(
-            f"scale_seconds must be > 0, got {scale_seconds}"
-        )
-    suite = BENCH_SUITE if suite is None else suite
-    benchmarks: Dict[str, Dict[str, object]] = {}
-    for name in sorted(suite):
-        runs = []
-        for _ in range(repeats):
-            started = time.perf_counter()
-            suite[name]()
-            runs.append(
-                (time.perf_counter() - started) * scale_seconds
-            )
-        benchmarks[name] = {
-            "seconds": float(np.median(runs)),
-            "runs": [float(r) for r in runs],
-        }
-    return {
-        "version": HISTORY_VERSION,
-        "recorded_at": time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-        ),
-        "label": label,
-        "profile": profile,
-        "machine": machine_info(),
-        "benchmarks": benchmarks,
-    }
-
-
-# --------------------------------------------------------------------- #
-# the history ledger
-# --------------------------------------------------------------------- #
-def append_history(path: str, entry: Dict[str, object]) -> str:
-    """Append one entry as a JSON line; returns ``path``."""
-    with open(path, "a", encoding="utf-8") as fp:
-        fp.write(json.dumps(entry, sort_keys=True) + "\n")
-    return path
-
-
-def load_history(path: str) -> List[Dict[str, object]]:
-    """Load the ledger; raises :class:`ValidationError` on a bad line."""
-    if not os.path.exists(path):
-        return []
-    entries = []
-    with open(path, encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}:{lineno}: unparsable history line: {exc}"
-                ) from None
-            if not isinstance(entry, dict) or "benchmarks" not in entry:
-                raise ValidationError(
-                    f"{path}:{lineno}: not a bench history entry"
-                )
-            entries.append(entry)
-    return entries
-
-
-def _same_machine(a: Dict[str, object], b: Dict[str, object]) -> bool:
-    return a.get("machine") == b.get("machine") and a.get(
-        "profile"
-    ) == b.get("profile")
-
-
-def _seconds(entry: Dict[str, object], name: str) -> Optional[float]:
-    bench = dict(entry.get("benchmarks", {})).get(name)
-    if bench is None:
-        return None
-    return float(bench["seconds"])
-
-
-# --------------------------------------------------------------------- #
-# regression detection
-# --------------------------------------------------------------------- #
-@dataclass
-class BenchDelta:
-    """One benchmark's movement between baseline and current entry."""
-
-    name: str
-    baseline_seconds: float
-    current_seconds: float
-    noise_seconds: float  #: MAD-derived noise floor over the history
-
-    threshold: float = DEFAULT_THRESHOLD
-    min_delta_seconds: float = DEFAULT_MIN_DELTA
+    workload: str
+    metric: str
+    better: str  #: ``"lower"`` or ``"higher"``, from ``BENCHMARK.json``
+    bound: float  #: allowed worsening, as a fraction of the parent median
+    parent: float
+    change: float
+    spread: float  #: max minus min over the parent's records
 
     @property
-    def ratio(self) -> float:
-        if self.baseline_seconds == 0.0:
-            return float("inf") if self.current_seconds else 1.0
-        return self.current_seconds / self.baseline_seconds
+    def worse_by(self) -> float:
+        """How much worse the change is (negative when it is better)."""
+        delta = self.change - self.parent
+        return delta if self.better == "lower" else -delta
 
     @property
     def regressed(self) -> bool:
-        """Slower than ``threshold`` x baseline *and* beyond noise.
-
-        The noise floor is ``max(3 * MAD, min_delta_seconds)``: until
-        the history is deep enough to estimate jitter (MAD needs >= 3
-        compatible entries), the absolute slack keeps millisecond-scale
-        benchmarks from paging on scheduler noise alone.
-        """
-        slack = max(3.0 * self.noise_seconds, self.min_delta_seconds)
-        beyond_noise = self.current_seconds > (
-            self.baseline_seconds + slack
+        return (
+            self.worse_by > self.bound * abs(self.parent)
+            and self.worse_by > self.spread
         )
-        return self.ratio > self.threshold and beyond_noise
-
-    @property
-    def improved(self) -> bool:
-        return self.ratio < 1.0 / self.threshold
 
 
 @dataclass
 class RegressionReport:
-    """Outcome of comparing the newest entry against a baseline."""
+    """Outcome of :func:`check_records`."""
 
-    baseline_label: str
-    current_label: str
-    deltas: List[BenchDelta] = field(default_factory=list)
+    parent_dir: str
+    change_dir: str
+    deltas: List[MetricDelta] = field(default_factory=list)
+    #: workload -> (parent, change) failed checks over checks attempted
+    failed_share: Dict[str, Tuple[float, float]] = field(default_factory=dict)
 
     @property
-    def regressions(self) -> List[BenchDelta]:
-        return [d for d in self.deltas if d.regressed]
+    def regressions(self) -> List[str]:
+        flagged = [
+            f"{d.workload} {d.metric}" for d in self.deltas if d.regressed
+        ]
+        flagged += [
+            f"{workload} checks"
+            for workload, (parent, change) in self.failed_share.items()
+            if change > parent
+        ]
+        return flagged
 
     @property
     def ok(self) -> bool:
         return not self.regressions
 
     def render(self) -> str:
-        lines = [
-            f"bench check: {self.current_label} vs {self.baseline_label}"
-        ]
-        for delta in self.deltas:
-            flag = (
-                "REGRESSED"
-                if delta.regressed
-                else ("improved" if delta.improved else "ok")
-            )
+        lines = [f"bench check: {self.change_dir} vs {self.parent_dir}"]
+        for d in self.deltas:
+            worse = d.worse_by / abs(d.parent) + 0.0 if d.parent else 0.0
+            flag = "REGRESSED" if d.regressed else "ok"
             lines.append(
-                f"  {delta.name}: {delta.baseline_seconds:.4f}s -> "
-                f"{delta.current_seconds:.4f}s "
-                f"({delta.ratio:.2f}x, noise +/-{delta.noise_seconds:.4f}s)"
+                f"  {d.workload} {d.metric}: {d.parent:.6g} -> {d.change:.6g}"
+                f" (worse by {worse:+.1%}, bound {d.bound:.0%}, parent"
+                f" spread {d.spread:.6g}, {d.better} is better) [{flag}]"
+            )
+        for workload, (parent, change) in self.failed_share.items():
+            flag = "REGRESSED" if change > parent else "ok"
+            lines.append(
+                f"  {workload} failed checks: {parent:.1%} -> {change:.1%}"
                 f" [{flag}]"
             )
-        if not self.deltas:
-            lines.append("  (no common benchmarks to compare)")
         return "\n".join(lines)
 
 
-def _mad_noise(values: Sequence[float]) -> float:
-    """Median absolute deviation, scaled to sigma-equivalent (1.4826)."""
-    if len(values) < 3:
-        return 0.0
-    arr = np.asarray(values, dtype=float)
-    return float(1.4826 * np.median(np.abs(arr - np.median(arr))))
+def _read_json(path: Path, what: str) -> object:
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read {what}: {exc}") from None
+    except ValueError as exc:
+        raise ValidationError(f"{path}: unparsable {what}: {exc}") from None
 
 
-def _entry_label(entry: Dict[str, object], index: int) -> str:
-    label = entry.get("label") or ""
-    stamp = entry.get("recorded_at") or f"entry {index}"
-    return f"{label} ({stamp})" if label else str(stamp)
-
-
-def compare_entries(
-    history: List[Dict[str, object]],
-    current: Optional[Dict[str, object]] = None,
-    baseline: Optional[str] = None,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> RegressionReport:
-    """Compare ``current`` (default: last entry) against a baseline.
-
-    The baseline is the most recent *earlier* entry with the same
-    machine fingerprint and profile — or, when ``baseline`` is given,
-    the latest compatible entry with that label.  Noise floors come from
-    the full compatible history (MAD per benchmark), so one-off
-    scheduler hiccups need >3 sigma to page.
-
-    No compatible baseline (first run on a new machine, e.g. a fresh CI
-    runner against a ledger seeded elsewhere) is a *pass*, not an
-    error: the report carries zero deltas and the current entry simply
-    becomes the machine's baseline.  An explicitly requested ``baseline``
-    label that cannot be found still raises.
-    """
-    if threshold <= 1.0:
-        raise ValidationError(
-            f"threshold must be > 1.0, got {threshold}"
-        )
-    if current is None:
-        if not history:
-            raise ValidationError("bench history is empty; record first")
-        current = history[-1]
-        history = history[:-1]
-    compatible = [
-        (i, e)
-        for i, e in enumerate(history)
-        if _same_machine(e, current)
-    ]
-    if baseline:
-        compatible = [
-            (i, e) for i, e in compatible if e.get("label") == baseline
-        ]
-        if not compatible:
+def _load_spec(path: str) -> List[Dict[str, object]]:
+    """The ``end_to_end`` metric list of a ``BENCHMARK.json`` spec."""
+    spec = _read_json(Path(path), "benchmark spec")
+    metrics = spec.get("end_to_end") if isinstance(spec, dict) else None
+    if not isinstance(metrics, list) or not metrics:
+        raise ValidationError(f"{path}: no end_to_end metric list")
+    for metric in metrics:
+        if not (
+            isinstance(metric, dict)
+            and isinstance(metric.get("name"), str)
+            and metric.get("better") in ("lower", "higher")
+            and isinstance(metric.get("bound"), (int, float))
+            and metric["bound"] >= 0
+        ):
             raise ValidationError(
-                f"no compatible history entry labelled {baseline!r}"
+                f"{path}: end_to_end metric {metric!r} needs a name, "
+                "better (lower|higher) and a bound >= 0"
             )
-    if not compatible:
-        return RegressionReport(
-            baseline_label="(no compatible baseline on this machine)",
-            current_label=_entry_label(current, len(history)),
-            deltas=[],
-        )
-    base_index, base = compatible[-1]
-    deltas = []
-    for name in sorted(dict(current.get("benchmarks", {}))):
-        base_seconds = _seconds(base, name)
-        cur_seconds = _seconds(current, name)
-        if base_seconds is None or cur_seconds is None:
-            continue
-        series = [
-            s
-            for _, e in compatible
-            if (s := _seconds(e, name)) is not None
-        ]
-        deltas.append(
-            BenchDelta(
-                name=name,
-                baseline_seconds=base_seconds,
-                current_seconds=cur_seconds,
-                noise_seconds=_mad_noise(series),
-                threshold=threshold,
-            )
-        )
-    return RegressionReport(
-        baseline_label=_entry_label(base, base_index),
-        current_label=_entry_label(current, len(history)),
-        deltas=deltas,
-    )
+    return metrics
 
 
-def render_report(
-    history: List[Dict[str, object]], last: int = 10
-) -> str:
-    """A markdown trend table over the ``last`` history entries."""
-    if not history:
-        return "no bench history recorded yet\n"
-    window = history[-last:]
-    names = sorted(
-        {
-            name
-            for entry in window
-            for name in dict(entry.get("benchmarks", {}))
-        }
-    )
-    header = (
-        "| recorded | profile | "
-        + " | ".join(names)
-        + " |"
-    )
-    rule = "|" + "---|" * (len(names) + 2)
-    lines = ["# bench history", "", header, rule]
-    for entry in window:
-        cells = []
-        for name in names:
-            seconds = _seconds(entry, name)
-            cells.append("-" if seconds is None else f"{seconds:.4f}s")
-        stamp = str(entry.get("recorded_at", "?"))
-        label = entry.get("label") or ""
-        if label:
-            stamp = f"{stamp} ({label})"
-        profile = str(entry.get("profile") or "-")
-        lines.append(
-            "| " + " | ".join([stamp, profile, *cells]) + " |"
+def _load_records(
+    directory: str, metrics: List[Dict[str, object]]
+) -> List[Dict[str, object]]:
+    """The untraced perfbench records in ``directory`` (``*.json``).
+
+    Every record must carry its workload, seed, size, machine, check
+    counts and a numeric value for each end-to-end metric of the spec.
+    Traced records (``trace`` 1) report per-layer metrics and are skipped.
+    """
+    if not os.path.isdir(directory):
+        raise ValidationError(f"{directory}: no such record directory")
+    records = []
+    for path in sorted(Path(directory).glob("*.json")):
+        record = _read_json(path, "perfbench record")
+        try:
+            if record["trace"]:
+                continue
+            result = record["result"]
+            values = {
+                m["name"]: float(result["metrics"][m["name"]]["value"])
+                for m in metrics
+            }
+            checks = (int(result["failed"]), int(result["attempted"]))
+            key = (str(record["workload"]), int(record["seed"]))
+            context = (record["size"], record["machine"])
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ValidationError(
+                f"{path}: not a perfbench record ({exc!r})"
+            ) from None
+        records.append(
+            {"key": key, "context": context, "values": values, "checks": checks}
         )
-    machines = {
-        json.dumps(entry.get("machine", {}), sort_keys=True)
-        for entry in window
-    }
-    if len(machines) > 1:
-        lines.append("")
-        lines.append(
-            f"note: entries span {len(machines)} machine fingerprints; "
-            "cross-machine cells are not comparable"
+    if not records:
+        raise ValidationError(
+            f"{directory}: no untraced perfbench records (*.json)"
         )
-    return "\n".join(lines) + "\n"
+    return records
+
+
+def check_records(
+    parent_dir: str, change_dir: str, spec_path: str
+) -> RegressionReport:
+    """Compare the change's records against the parent's (module doc).
+
+    Both directories must hold records of the same workloads and seeds,
+    at the same size, from the same machine.
+    """
+    metrics = _load_spec(spec_path)
+    parent = _load_records(parent_dir, metrics)
+    change = _load_records(change_dir, metrics)
+    keys = {r["key"] for r in parent}
+    if keys != {r["key"] for r in change}:
+        raise ValidationError(
+            f"{parent_dir} and {change_dir} must hold records of the same "
+            "workloads and seeds"
+        )
+    contexts = [r["context"] for r in parent + change]
+    if any(c != contexts[0] for c in contexts):
+        raise ValidationError(
+            "records differ in size or machine fingerprint; compare runs "
+            "of one size on one machine"
+        )
+    report = RegressionReport(parent_dir, change_dir)
+    for workload in sorted({w for w, _seed in keys}):
+        old = [r for r in parent if r["key"][0] == workload]
+        new = [r for r in change if r["key"][0] == workload]
+        for metric in metrics:
+            name = metric["name"]
+            old_values = [r["values"][name] for r in old]
+            report.deltas.append(
+                MetricDelta(
+                    workload=workload,
+                    metric=name,
+                    better=metric["better"],
+                    bound=float(metric["bound"]),
+                    parent=median(old_values),
+                    change=median(r["values"][name] for r in new),
+                    spread=max(old_values) - min(old_values),
+                )
+            )
+        report.failed_share[workload] = tuple(
+            sum(r["checks"][0] for r in side)
+            / max(sum(r["checks"][1] for r in side), 1)
+            for side in (old, new)
+        )
+    return report
 
 
 __all__ = [
-    "HISTORY_VERSION",
-    "DEFAULT_HISTORY",
-    "DEFAULT_THRESHOLD",
-    "DEFAULT_REPEATS",
-    "BENCH_SUITE",
-    "BenchDelta",
+    "MetricDelta",
     "RegressionReport",
-    "write_bench_artifact",
-    "normalize_bench_artifact",
+    "check_records",
     "machine_info",
-    "record_entry",
-    "append_history",
-    "load_history",
-    "compare_entries",
-    "render_report",
 ]

@@ -18,10 +18,10 @@ Subcommands:
   decisions; ``--causal`` adds happens-before analysis);
 * ``explain``  — print the decision chain for one object from a
   ``--ledger`` file (see ``docs/causality.md``);
-* ``bench``    — record the micro-benchmark suite into the
-  ``BENCH_history.jsonl`` ledger (``record``), render a markdown trend
-  table (``report``), and fail on noise-adjusted wall-clock regressions
-  (``check``);
+* ``bench``    — ``check`` compares two directories of perfbench
+  records, the parent commit's and the change's, and fails when an
+  end-to-end metric got worse beyond its ``BENCHMARK.json`` bound and
+  the parent's spread (see ``docs/telemetry.md``);
 * ``conform``  — run the differential conformance oracle over the
   scenario corpus (``run``), list scenarios and invariants
   (``corpus``), and minimise a failing scenario to a JSON repro
@@ -32,7 +32,8 @@ Algorithms are resolved through the capability-declaring
 flags — ``--trace``/``--trace-format``, ``--profile`` family,
 ``--openmetrics``/``--telemetry``, ``--metrics``, ``--ledger``,
 ``--faults`` and ``--parallel`` — are defined once in
-:mod:`repro.runtime.cli_options` and accepted by every subcommand,
+:mod:`repro.runtime.cli_options` and accepted by every subcommand
+except ``bench check`` (which only reads JSON records),
 wired through one :class:`~repro.runtime.context.RunContext` per
 invocation.  See ``docs/architecture.md``, ``docs/observability.md``
 and ``docs/telemetry.md``.
@@ -215,73 +216,26 @@ def build_parser() -> argparse.ArgumentParser:
     add_runtime_options(explain)
 
     bench = sub.add_parser(
-        "bench",
-        help="record / report / check the benchmark wall-clock ledger",
+        "bench", help="regression gate over two directories of perfbench records"
     )
     bench_sub = bench.add_subparsers(dest="bench_command")
-
-    def _bench_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--history",
-            default=None,
-            metavar="FILE",
-            help="ledger file (default BENCH_history.jsonl)",
-        )
-        add_runtime_options(p)
-
-    record = bench_sub.add_parser(
-        "record", help="run the micro-benchmark suite and append an entry"
-    )
-    _bench_common(record)
-    record.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="timing repeats per benchmark; the median is recorded",
-    )
-    record.add_argument(
-        "--label", default="", help="tag this entry (e.g. a commit sha)"
-    )
-    record.add_argument(
-        "--scale-seconds",
-        type=float,
-        default=1.0,
-        metavar="X",
-        help="multiply measured times by X before recording (test hook "
-        "for exercising `bench check` with a known slowdown)",
-    )
-
-    report = bench_sub.add_parser(
-        "report", help="print a markdown trend table over the ledger"
-    )
-    _bench_common(report)
-    report.add_argument(
-        "--last", type=int, default=10, help="entries to include"
-    )
-    report.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        help="also write the markdown to this file",
-    )
-
     check = bench_sub.add_parser(
         "check",
-        help="compare the newest entry against a baseline; exit 1 on "
-        "regression",
-    )
-    _bench_common(check)
-    check.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="regression ratio threshold (default 1.25)",
+        help="compare a change's perfbench records against its parent's; "
+        "exit 1 on regression",
     )
     check.add_argument(
-        "--baseline",
-        default=None,
-        help="compare against the latest compatible entry with this "
-        "label instead of the previous entry",
+        "parent", metavar="PARENT_DIR", help="the parent's perfbench/out records"
+    )
+    check.add_argument(
+        "change", metavar="CHANGE_DIR", help="the change's perfbench/out records"
+    )
+    check.add_argument(
+        "spec",
+        nargs="?",
+        default="BENCHMARK.json",
+        metavar="SPEC",
+        help="benchmark spec with the end-to-end bounds (default BENCHMARK.json)",
     )
 
     conform = sub.add_parser(
@@ -609,64 +563,17 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.analysis import regression
-    from repro.experiments.config import get_profile
+    from repro.analysis.regression import check_records
 
-    command = getattr(args, "bench_command", None)
-    if command not in ("record", "report", "check"):
-        print(
-            "usage: repro bench {record,report,check} ...",
-            file=sys.stderr,
-        )
+    if getattr(args, "bench_command", None) != "check":
+        print("usage: repro bench check PARENT_DIR CHANGE_DIR [SPEC]", file=sys.stderr)
         return 2
-    history = args.history or regression.DEFAULT_HISTORY
-    with runtime_session(args):
-        if command == "record":
-            entry = regression.record_entry(
-                repeats=args.repeats or regression.DEFAULT_REPEATS,
-                label=args.label,
-                profile=get_profile().name,
-                scale_seconds=args.scale_seconds,
-            )
-            regression.append_history(history, entry)
-            print(f"recorded {len(entry['benchmarks'])} benchmarks "
-                  f"to {history}")
-            for name in sorted(entry["benchmarks"]):
-                seconds = entry["benchmarks"][name]["seconds"]
-                print(f"  {name}: {seconds:.4f}s")
-            return 0
-        if command == "report":
-            text = regression.render_report(
-                regression.load_history(history), last=args.last
-            )
-            print(text, end="")
-            if args.output:
-                with open(args.output, "w", encoding="utf-8") as fp:
-                    fp.write(text)
-                print(f"report written to {args.output}")
-            return 0
-        entries = regression.load_history(history)
-        if not entries:
-            # A missing or empty ledger is a bootstrap state, not a
-            # regression: say what to do and succeed so fresh checkouts
-            # can run the full CI script unchanged.
-            print(
-                f"bench ledger {history} is missing or empty; nothing "
-                f"to check.\nRecord a baseline first:  repro bench "
-                f"record --history {history}"
-            )
-            return 0
-        report = regression.compare_entries(
-            entries,
-            baseline=args.baseline,
-            threshold=args.threshold or regression.DEFAULT_THRESHOLD,
-        )
-        print(report.render())
-        if not report.ok:
-            names = ", ".join(d.name for d in report.regressions)
-            print(f"REGRESSION: {names}", file=sys.stderr)
-            return 1
-        return 0
+    report = check_records(args.parent, args.change, args.spec)
+    print(report.render())
+    if not report.ok:
+        print(f"REGRESSION: {', '.join(report.regressions)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _conform_corpus_for(args: argparse.Namespace):

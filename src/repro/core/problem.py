@@ -24,6 +24,7 @@ import numpy as np
 from repro.errors import InfeasibleProblemError, ValidationError
 from repro.utils.validation import (
     check_cost_matrix,
+    check_counts,
     check_matrix,
     check_vector,
 )
@@ -61,14 +62,14 @@ class DRPInstance:
             "capacities", capacities, length=num_sites, non_negative=True,
             dtype=float,
         )
-        reads = check_matrix(
+        reads = check_counts("reads", check_matrix(
             "reads", reads, shape=(num_sites, num_objects), non_negative=True,
             dtype=float,
-        )
-        writes = check_matrix(
+        ))
+        writes = check_counts("writes", check_matrix(
             "writes", writes, shape=(num_sites, num_objects),
             non_negative=True, dtype=float,
-        )
+        ))
         primaries = check_vector(
             "primaries", primaries, length=num_objects, dtype=np.int64
         )

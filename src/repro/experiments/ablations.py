@@ -64,7 +64,7 @@ class AblationResult:
         )
 
     def column(self, header: str) -> List[object]:
-        """One column by header name (for assertions in tests/benches)."""
+        """One column by header name (for assertions in tests)."""
         try:
             idx = self.headers.index(header)
         except ValueError:
@@ -260,7 +260,7 @@ def ablate_hardening(
     )
 
 
-#: registry used by the CLI and the benchmarks
+#: registry used by the CLI and the tests
 ABLATIONS: Dict[str, Callable[..., AblationResult]] = {
     "gra-design": ablate_gra_design,
     "write-penalty": ablate_write_penalty,

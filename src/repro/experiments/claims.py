@@ -4,8 +4,7 @@
 this module makes the argument executable: every claim of Section 6 is a
 predicate over the reproduced figure data, and :func:`verify_claims`
 returns a verdict table.  ``repro-experiments --verify-claims`` prints
-it; the benchmark suite asserts the expected verdicts at the quick
-profile.
+it and exits 1 when any claim is NOT REPRODUCED.
 
 Checks use tolerances because the points are means over few sampled
 networks; a claim's check encodes the *trend*, not the paper's absolute

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.algorithms.agra.policies import run_adaptation
 from repro.algorithms.gra.engine import GRA
-from repro.algorithms.sra import SRA
 from repro.errors import ValidationError
 from repro.experiments.config import ScaleProfile, get_profile
 from repro.experiments.harness import InstanceAverages, average_static_runs
@@ -621,7 +620,7 @@ def fig4d(
     )
 
 
-#: registry used by the CLI runner and the benchmarks
+#: registry used by the CLI runner, the claims and the tests
 FIGURES: Dict[str, Callable[..., FigureResult]] = {
     "fig1a": fig1a,
     "fig1b": fig1b,

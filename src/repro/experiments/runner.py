@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--verify-claims",
         action="store_true",
-        help="check the paper's claims against the reproduced figures",
+        help="check the paper's claims against the reproduced figures; "
+        "exit 1 if any is NOT REPRODUCED",
     )
     parser.add_argument(
         "--export",
@@ -144,11 +145,20 @@ def main(argv: Optional[List[str]] = None) -> int:
             if registry is not None:
                 print(render_metrics(registry))
             return 0
+        failed_claims = []
         if args.verify_claims:
-            from repro.experiments.claims import render_verdicts, verify_claims
+            from repro.experiments.claims import (
+                NOT_REPRODUCED,
+                render_verdicts,
+                verify_claims,
+            )
 
-            print(render_verdicts(verify_claims(profile, seed=args.seed)))
+            verdicts = verify_claims(profile, seed=args.seed)
+            print(render_verdicts(verdicts))
             print()
+            failed_claims = [
+                r.claim_id for r in verdicts if r.verdict == NOT_REPRODUCED
+            ]
         for figure_id in figure_ids:
             result = run_figure(figure_id, profile, seed=args.seed)
             print(render_figure(result, precision=args.precision))
@@ -177,6 +187,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print()
         if registry is not None:
             print(render_metrics(registry))
+        if failed_claims:
+            print(f"claims NOT REPRODUCED: {', '.join(failed_claims)}", file=sys.stderr)
+            return 1
         return 0
 
 

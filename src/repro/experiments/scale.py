@@ -1,9 +1,9 @@
 """Large-instance ``--scale`` profile runs: sparse problems at M~1000, N~10k.
 
 The problems themselves come from :mod:`repro.workload.scale` (the
-sparsified Section 6.1 recipe and the ``SCALE_TIERS`` grid of
-``BENCH_scale.json``); ``run_scale`` backs the
-``repro-experiments --scale`` CLI flag.
+sparsified Section 6.1 recipe and the ``SCALE_TIERS`` grid);
+``run_scale`` backs the ``repro-experiments --scale`` CLI flag, which CI
+runs at the ``small`` tier under a 2 GiB address-space cap.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Plain-text rendering of experiment tables and figure series.
 
-The paper reports its evaluation as figures; the benchmark harness prints
+The paper reports its evaluation as figures; the experiments runner prints
 the same information as aligned ASCII tables (one row per x-axis value, one
 column per series) so the shape of each figure can be read off a terminal.
 """

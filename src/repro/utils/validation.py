@@ -109,8 +109,36 @@ def check_cost_matrix(cost: np.ndarray) -> np.ndarray:
     return cost
 
 
+def check_counts(name: str, array: np.ndarray) -> np.ndarray:
+    """Ensure ``array`` holds read/write counts: finite, non-negative, whole.
+
+    The one rule every problem constructor (dense and sparse) applies to
+    ``r_ik`` / ``w_ik``: a count is a number of requests, so a fractional
+    value is rejected with a message instead of being rounded or
+    truncated on the way to an integer array.  Returns ``array`` as given.
+    """
+    arr = np.asarray(array)
+    if arr.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be numeric, got dtype {arr.dtype}")
+    if arr.dtype.kind == "f":
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{name} must be finite")
+        fractional = np.flatnonzero(arr != np.floor(arr))
+        if fractional.size:
+            at = np.unravel_index(fractional[0], arr.shape)
+            raise ValidationError(
+                f"{name} must be whole request counts; "
+                f"{name}{list(map(int, at))} = {float(arr.flat[fractional[0]]):g}"
+                f" ({fractional.size} fractional entries)"
+            )
+    if np.any(arr < 0):
+        raise ValidationError(f"{name} must be non-negative")
+    return array
+
+
 __all__ = [
     "check_cost_matrix",
+    "check_counts",
     "check_positive",
     "check_fraction",
     "check_index",

@@ -15,10 +15,10 @@ The rest of the recipe mirrors Section 6.1: per-object update totals are
 are uniform with mean ``size_mean``; capacities and primaries use the
 same feasible-by-construction assignment as the dense generator.
 
-``SCALE_TIERS`` names the benchmark grid of ``BENCH_scale.json``
-(M in {128, 512, 1024}, N in {1k, 10k});
-:func:`repro.experiments.scale.run_scale` backs the
-``repro-experiments --scale`` CLI flag.
+``SCALE_TIERS`` names the size grid (M in {128, 512, 1024}, N in
+{1k, 10k}); :func:`repro.experiments.scale.run_scale` backs the
+``repro-experiments --scale`` CLI flag, and perfbench's ``scale-sparse``
+workload times the ``medium`` tier.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class ScaleSpec:
             )
 
 
-#: benchmark tiers of BENCH_scale.json: name -> (num_sites, num_objects)
+#: ``--scale`` tiers: name -> (num_sites, num_objects)
 SCALE_TIERS: Dict[str, Tuple[int, int]] = {
     "small": (128, 1_000),
     "medium": (512, 10_000),

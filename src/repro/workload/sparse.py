@@ -32,7 +32,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.utils.validation import check_cost_matrix
+from repro.utils.validation import check_cost_matrix, check_counts
 
 
 class SparseCounts:
@@ -64,7 +64,7 @@ class SparseCounts:
             )
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         indices = np.ascontiguousarray(indices, dtype=np.int64)
-        data = np.ascontiguousarray(data, dtype=np.int64)
+        data = np.ascontiguousarray(check_counts("counts", data), dtype=np.int64)
         if indptr.shape != (rows + 1,) or indptr[0] != 0:
             raise ValidationError(
                 f"indptr must have shape ({rows + 1},) and start at 0"
@@ -73,13 +73,8 @@ class SparseCounts:
             raise ValidationError("indptr must be non-decreasing up to nnz")
         if data.shape != indices.shape:
             raise ValidationError("indices and data must be aligned")
-        if indices.size:
-            if indices.min() < 0 or indices.max() >= cols:
-                raise ValidationError(
-                    f"column indices out of range [0, {cols})"
-                )
-            if np.any(data < 0):
-                raise ValidationError("counts must be non-negative")
+        if indices.size and (indices.min() < 0 or indices.max() >= cols):
+            raise ValidationError(f"column indices out of range [0, {cols})")
         # Normalise: sorted column indices per row, duplicates summed,
         # explicit zeros dropped — so equal matrices have equal storage.
         keep_ptr = [0]
@@ -127,11 +122,10 @@ class SparseCounts:
                 f"dense counts must be 2-D, got shape {mat.shape}"
             )
         rows, cols = np.nonzero(mat)
-        data = mat[rows, cols].astype(np.int64)
         indptr = np.zeros(mat.shape[0] + 1, dtype=np.int64)
         np.add.at(indptr, rows + 1, 1)
         indptr = np.cumsum(indptr)
-        return cls(mat.shape, indptr, cols.astype(np.int64), data)
+        return cls(mat.shape, indptr, cols, mat[rows, cols])
 
     @classmethod
     def from_coo(
@@ -144,7 +138,7 @@ class SparseCounts:
         """Build from coordinate triplets (duplicates are summed)."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.int64)
+        values = np.asarray(values)
         if not (rows.shape == cols.shape == values.shape):
             raise ValidationError("COO triplets must be aligned 1-D arrays")
         if rows.size and (rows.min() < 0 or rows.max() >= shape[0]):

@@ -47,14 +47,14 @@ def generate_trace(
 
     Every ``r_ik`` read and ``w_ik`` write becomes one :class:`Request`
     with a uniform-random timestamp in ``[0, duration)``; the returned
-    list is sorted by time.  Counts are interpreted as integers (the
-    Section 6.1 generator produces integer counts).
+    list is sorted by time.  Counts are whole numbers (the instance
+    constructor rejects fractional ones), so the int64 cast is exact.
     """
     if duration <= 0:
         raise ValidationError(f"duration must be > 0, got {duration}")
     gen = as_generator(rng)
-    reads = np.rint(instance.reads).astype(np.int64)
-    writes = np.rint(instance.writes).astype(np.int64)
+    reads = instance.reads.astype(np.int64)
+    writes = instance.writes.astype(np.int64)
     sites_r, objs_r = np.nonzero(reads)
     sites_w, objs_w = np.nonzero(writes)
 

@@ -61,4 +61,5 @@ def test_on_real_gra_history(small_instance):
     report = analyze_convergence(result.stats.history("best_fitness"))
     assert report.generations == 10
     assert report.final_fitness == pytest.approx(result.fitness)
+    assert report.final_fitness >= report.initial_fitness
     assert 0.0 <= report.seeding_share <= 1.0

@@ -1,305 +1,213 @@
-"""Bench ledger: schema normalization, MAD noise floors, `bench check`."""
+"""The bench gate: a change's perfbench records against its parent's."""
 
 from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.regression import (
-    DEFAULT_THRESHOLD,
-    append_history,
-    compare_entries,
-    load_history,
-    machine_info,
-    normalize_bench_artifact,
-    record_entry,
-    render_report,
-    write_bench_artifact,
-)
+from repro.analysis.regression import check_records, machine_info
 from repro.errors import ValidationError
 
+SPEC = str(Path(__file__).resolve().parents[1] / "BENCHMARK.json")
+WORKLOADS = ("paper-static", "scale-sparse", "adaptive-writes")
 
-def _entry(seconds, label="", profile="quick", machine=None):
-    """A synthetic history entry; ``seconds`` maps name -> median."""
+
+def _record(workload, seed, run_s=1.0, saved=40.0, failed=0, size="full"):
+    """A synthetic untraced perfbench record, shaped like ``run.py``'s."""
+    values = {
+        "setup_s": (0.1, "s"),
+        "run_s": (run_s, "s"),
+        "ntc_saved_pct": (saved, "%"),
+        "peak_rss_mb": (100.0, "MB"),
+    }
     return {
-        "version": 1,
-        "recorded_at": "2026-01-01T00:00:00Z",
-        "label": label,
-        "profile": profile,
-        "machine": machine or {"platform": "test", "cpus": 1},
-        "benchmarks": {
-            name: {"seconds": value, "runs": [value]}
-            for name, value in seconds.items()
+        "workload": workload,
+        "seed": seed,
+        "trace": 0,
+        "size": size,
+        "machine": {"platform": "test", "cpus": 1},
+        "result": {
+            "correct": not failed,
+            "attempted": 4,
+            "failed": failed,
+            "metrics": {
+                name: {"value": value, "unit": unit}
+                for name, (value, unit) in values.items()
+            },
         },
     }
 
 
-# --------------------------------------------------------------------- #
-# artifact schema
-# --------------------------------------------------------------------- #
-def test_normalize_keeps_unified_schema():
-    unified = {"benchmark": "scale-path", "algorithms": ["SRA"]}
-    normalized = normalize_bench_artifact(unified)
-    assert normalized["algorithms"] == ["SRA"]
-    assert normalized["results"] == []
+def _records(**overrides):
+    """Three seeds per workload, with ``run_s`` jittering by 2%."""
+    return [
+        _record(w, seed, run_s=1.0 + 0.01 * seed, **overrides)
+        for w in WORKLOADS
+        for seed in (1, 2, 3)
+    ]
 
 
-def test_write_bench_artifact_unified_schema(tmp_path):
-    path = tmp_path / "BENCH_x.json"
-    write_bench_artifact(
-        str(path),
-        benchmark="x",
-        algorithms=["SRA", "GRA"],
-        results=[{"tier": "small", "seconds": 1.0}],
-        extra={"floor": 3.0},
+def _write(directory: Path, records) -> str:
+    directory.mkdir()
+    for r in records:
+        name = f"{r['workload']}-seed{r['seed']}-trace{r['trace']}.json"
+        (directory / name).write_text(json.dumps(r))
+    return str(directory)
+
+
+def _check(tmp_path, parent, change, spec=SPEC):
+    return check_records(
+        _write(tmp_path / "parent", parent),
+        _write(tmp_path / "change", change),
+        spec,
     )
-    payload = json.loads(path.read_text())
-    assert payload["algorithms"] == ["SRA", "GRA"]
-    assert payload["floor"] == 3.0
-    assert "algorithm" not in payload
 
 
-def test_write_bench_artifact_merges_on_key(tmp_path):
-    path = tmp_path / "BENCH_scale.json"
-    write_bench_artifact(
-        str(path), "scale", ["SRA"],
-        [{"tier": "small", "s": 1.0}, {"tier": "medium", "s": 2.0}],
-        merge_on="tier",
-    )
-    write_bench_artifact(
-        str(path), "scale", ["SRA"],
-        [{"tier": "large", "s": 9.0}],
-        merge_on="tier",
-    )
-    write_bench_artifact(
-        str(path), "scale", ["SRA"],
-        [{"tier": "small", "s": 1.5}],
-        merge_on="tier",
-    )
-    tiers = {
-        r["tier"]: r["s"]
-        for r in json.loads(path.read_text())["results"]
-    }
-    assert tiers == {"small": 1.5, "medium": 2.0, "large": 9.0}
+def test_identical_entry_passes(tmp_path):
+    records = _records()
+    report = _check(tmp_path, records, copy.deepcopy(records))
+    assert report.ok, report.render()
+    assert len(report.deltas) == 3 * 4  # workloads x end-to-end metrics
+    assert all(d.worse_by == 0.0 for d in report.deltas)
 
 
-def test_write_bench_artifact_merge_upgrades_legacy_file(tmp_path):
-    path = tmp_path / "BENCH_scale.json"
-    path.write_text(json.dumps({
-        "benchmark": "scale", "algorithm": "SRA",
-        "results": [{"tier": "small", "s": 1.0}],
-    }))
-    write_bench_artifact(
-        str(path), "scale", ["SRA"],
-        [{"tier": "large", "s": 9.0}], merge_on="tier",
-    )
-    payload = json.loads(path.read_text())
-    assert payload["algorithms"] == ["SRA"]
-    assert len(payload["results"]) == 2
-
-
-# --------------------------------------------------------------------- #
-# history ledger
-# --------------------------------------------------------------------- #
-def test_history_append_load_round_trip(tmp_path):
-    path = str(tmp_path / "hist.jsonl")
-    assert load_history(path) == []
-    append_history(path, _entry({"a": 1.0}))
-    append_history(path, _entry({"a": 1.1}, label="second"))
-    entries = load_history(path)
-    assert len(entries) == 2
-    assert entries[1]["label"] == "second"
-
-
-def test_history_rejects_garbage(tmp_path):
-    path = tmp_path / "hist.jsonl"
-    path.write_text('{"benchmarks": {}}\nnot json\n')
-    with pytest.raises(ValidationError, match="unparsable"):
-        load_history(str(path))
-    path.write_text('{"no": "benchmarks"}\n')
-    with pytest.raises(ValidationError, match="not a bench history"):
-        load_history(str(path))
-
-
-def test_record_entry_runs_suite_and_stamps_machine():
-    calls = []
-    entry = record_entry(
-        repeats=2,
-        suite={"noop": lambda: calls.append(1)},
-        profile="quick",
-        label="tag",
-    )
-    assert len(calls) == 2
-    bench = entry["benchmarks"]["noop"]
-    assert bench["seconds"] >= 0.0
-    assert len(bench["runs"]) == 2
-    assert entry["machine"] == machine_info()
-    assert entry["profile"] == "quick" and entry["label"] == "tag"
-
-
-def test_record_entry_scale_seconds_hook():
-    one = record_entry(repeats=1, suite={"n": lambda: None})
-    scaled = record_entry(
-        repeats=1, suite={"n": lambda: None}, scale_seconds=1000.0
-    )
-    assert scaled["benchmarks"]["n"]["seconds"] >= 0.0
-    # The multiplier is applied verbatim; with a no-op body the scaled
-    # run must dominate the unscaled one.
-    assert (
-        scaled["benchmarks"]["n"]["seconds"]
-        > one["benchmarks"]["n"]["seconds"]
-    )
-    with pytest.raises(ValidationError):
-        record_entry(repeats=0)
-    with pytest.raises(ValidationError):
-        record_entry(scale_seconds=0.0)
-
-
-# --------------------------------------------------------------------- #
-# regression detection
-# --------------------------------------------------------------------- #
-def test_injected_slowdown_is_flagged():
-    base = _entry({"sra": 1.0, "sim": 0.4}, label="baseline")
-    slow = copy.deepcopy(base)
-    slow["label"] = ""
-    for bench in slow["benchmarks"].values():
-        bench["seconds"] *= 1.5
-    report = compare_entries([base, slow])
-    assert not report.ok
-    assert {d.name for d in report.regressions} == {"sra", "sim"}
-    assert all(d.ratio == pytest.approx(1.5) for d in report.deltas)
+def test_injected_slowdown_is_flagged(tmp_path):
+    parent = _records()
+    change = copy.deepcopy(parent)
+    for r in change:
+        if r["workload"] == "scale-sparse":
+            r["result"]["metrics"]["run_s"]["value"] *= 1.5
+    report = _check(tmp_path, parent, change)
+    assert report.regressions == ["scale-sparse run_s"]
     assert "REGRESSED" in report.render()
 
 
-def test_identical_entry_passes():
-    base = _entry({"sra": 1.0})
-    report = compare_entries([base, copy.deepcopy(base)])
+def test_lower_savings_is_flagged(tmp_path):
+    # ntc_saved_pct: higher is better, so a drop is the regression
+    parent = _records()
+    change = copy.deepcopy(parent)
+    for r in change:
+        r["result"]["metrics"]["ntc_saved_pct"]["value"] = 30.0
+    report = _check(tmp_path, parent, change)
+    assert report.regressions == [
+        f"{w} ntc_saved_pct" for w in sorted(WORKLOADS)
+    ]
+    # and a rise is not
+    for r in change:
+        r["result"]["metrics"]["ntc_saved_pct"]["value"] = 50.0
+    assert check_records(
+        str(tmp_path / "parent"), _write(tmp_path / "higher", change), SPEC
+    ).ok
+
+
+def test_noise_floor_suppresses_jittery_benchmark(tmp_path):
+    # 1.4x the parent median is beyond the 25% bound, but the parent's
+    # own records spread from 0.6 to 1.5, so it is not flagged
+    parent = [
+        _record("paper-static", seed, run_s=s)
+        for seed, s in enumerate((0.6, 1.0, 1.5), start=1)
+    ]
+    change = [_record("paper-static", seed, run_s=1.4) for seed in (1, 2, 3)]
+    assert _check(tmp_path, parent, change).ok
+    # the same worsening over a stable parent is flagged
+    stable = [_record("paper-static", seed) for seed in (1, 2, 3)]
+    report = check_records(
+        _write(tmp_path / "stable", stable), str(tmp_path / "change"), SPEC
+    )
+    assert report.regressions == ["paper-static run_s"]
+
+
+def test_more_failed_checks_are_flagged(tmp_path):
+    parent = _records()
+    change = copy.deepcopy(parent)
+    change[0]["result"]["failed"] = 1
+    report = _check(tmp_path, parent, change)
+    assert report.regressions == [f"{change[0]['workload']} checks"]
+
+
+def test_baseline_must_match_machine_and_profile(tmp_path):
+    parent = _records()
+    other_machine = copy.deepcopy(parent)
+    other_machine[0]["machine"] = machine_info()
+    with pytest.raises(ValidationError, match="machine"):
+        _check(tmp_path, parent, other_machine)
+    with pytest.raises(ValidationError, match="size"):
+        check_records(
+            str(tmp_path / "parent"),
+            _write(tmp_path / "tiny", _records(size="tiny")),
+            SPEC,
+        )
+    with pytest.raises(ValidationError, match="same workloads and seeds"):
+        check_records(
+            str(tmp_path / "parent"), _write(tmp_path / "few", parent[:4]), SPEC
+        )
+
+
+def test_traced_records_are_skipped(tmp_path):
+    parent = _records()
+    change = copy.deepcopy(parent)
+    traced = {**_record("paper-static", 1), "trace": 1, "result": {"metrics": {}}}
+    report = _check(tmp_path, parent, change + [traced])
     assert report.ok
-    assert all(d.ratio == pytest.approx(1.0) for d in report.deltas)
 
 
-def test_noise_floor_suppresses_jittery_benchmark():
-    # History jitters around its median — a 1.4 reading is within
-    # 3*MAD of the 1.0 baseline even though the ratio exceeds the
-    # 1.25 threshold.
-    history = [
-        _entry({"jittery": s}) for s in (1.0, 1.4, 0.9, 1.5, 1.0)
-    ]
-    current = _entry({"jittery": 1.4})
-    report = compare_entries(history + [current])
-    assert report.ok, report.render()
-    # The same ratio with a *stable* history pages.
-    stable = [_entry({"jittery": 1.0}) for _ in range(5)]
-    report = compare_entries(stable + [_entry({"jittery": 1.4})])
-    assert not report.ok
+def test_compare_validation(tmp_path):
+    records = _records()
+    parent = _write(tmp_path / "parent", records)
+    change = _write(tmp_path / "change", records)
+    with pytest.raises(ValidationError, match="cannot read"):
+        check_records(parent, change, str(tmp_path / "missing.json"))
+    bad_spec = tmp_path / "bad.json"
+    bad_spec.write_text('{"end_to_end": [{"name": "run_s", "better": "up"}]}')
+    with pytest.raises(ValidationError, match="better"):
+        check_records(parent, change, str(bad_spec))
+    bad_spec.write_text("{not json")
+    with pytest.raises(ValidationError, match="unparsable"):
+        check_records(parent, change, str(bad_spec))
+    with pytest.raises(ValidationError, match="no such record directory"):
+        check_records(str(tmp_path / "nope"), change, SPEC)
+    with pytest.raises(ValidationError, match="no untraced"):
+        check_records(_write(tmp_path / "empty", []), change, SPEC)
 
 
-def test_baseline_must_match_machine_and_profile():
-    other_machine = _entry(
-        {"sra": 0.1}, machine={"platform": "other", "cpus": 64}
-    )
-    other_profile = _entry({"sra": 0.1}, profile="paper")
-    current = _entry({"sra": 1.0})
-    # Only incompatible entries before it: clean pass, no deltas.
-    report = compare_entries([other_machine, other_profile, current])
-    assert report.ok and report.deltas == []
-    assert "no compatible baseline" in report.baseline_label
-
-
-def test_labelled_baseline_selection():
-    tagged = _entry({"sra": 1.0}, label="v1")
-    drift = _entry({"sra": 1.1})
-    current = _entry({"sra": 1.2})
-    report = compare_entries(
-        [tagged, drift, current], baseline="v1"
-    )
-    assert report.deltas[0].baseline_seconds == 1.0
-    with pytest.raises(ValidationError, match="labelled"):
-        compare_entries([tagged, current], baseline="nope")
-
-
-def test_compare_validation():
-    with pytest.raises(ValidationError, match="empty"):
-        compare_entries([])
-    with pytest.raises(ValidationError, match="threshold"):
-        compare_entries([_entry({"a": 1.0})], threshold=1.0)
-    assert DEFAULT_THRESHOLD > 1.0
-
-
-def test_render_report_markdown():
-    history = [
-        _entry({"sra": 1.0, "sim": 0.4}, label="seed"),
-        _entry({"sra": 1.1, "sim": 0.5}),
-    ]
-    text = render_report(history)
-    assert text.startswith("# bench history")
-    assert "| recorded | profile | sim | sra |" in text
-    assert "1.1000s" in text
-    assert render_report([]).startswith("no bench history")
-
-
-# --------------------------------------------------------------------- #
-# the CLI surface
-# --------------------------------------------------------------------- #
-def _write_history(path, entries):
-    for entry in entries:
-        append_history(str(path), entry)
+def test_malformed_record_rejected(tmp_path):
+    records = _records()
+    change = _write(tmp_path / "change", records)
+    garbage = tmp_path / "garbage"
+    garbage.mkdir()
+    (garbage / "x.json").write_text("{not json")
+    with pytest.raises(ValidationError, match="unparsable"):
+        check_records(str(garbage), change, SPEC)
+    broken = copy.deepcopy(records)
+    del broken[0]["result"]["metrics"]["run_s"]
+    with pytest.raises(ValidationError, match="not a perfbench record"):
+        check_records(_write(tmp_path / "broken", broken), change, SPEC)
 
 
 def test_cli_bench_check_catches_injected_slowdown(tmp_path, capsys):
     from repro.cli import main
 
-    history = tmp_path / "hist.jsonl"
-    base = _entry({"sra": 1.0}, label="baseline")
-    slow = copy.deepcopy(base)
-    slow["label"] = ""
-    slow["benchmarks"]["sra"]["seconds"] = 1.5
-    _write_history(history, [base, slow])
-    assert main(["bench", "check", "--history", str(history)]) == 1
+    parent = _records()
+    slow = copy.deepcopy(parent)
+    for r in slow:
+        r["result"]["metrics"]["run_s"]["value"] *= 1.5
+    parent_dir = _write(tmp_path / "parent", parent)
+    assert main(["bench", "check", parent_dir, parent_dir, SPEC]) == 0
+    slow_dir = _write(tmp_path / "slow", slow)
+    assert main(["bench", "check", parent_dir, slow_dir, SPEC]) == 1
     captured = capsys.readouterr()
     assert "REGRESSION" in captured.err
-
-    # Identical follow-up entry: exit 0.
-    ok_history = tmp_path / "ok.jsonl"
-    _write_history(ok_history, [base, copy.deepcopy(base)])
-    assert main(["bench", "check", "--history", str(ok_history)]) == 0
-
-
-def test_cli_bench_record_and_report(tmp_path, capsys, monkeypatch):
-    from repro.analysis import regression
-    from repro.cli import main
-
-    # Patch the suite so the CLI path runs in milliseconds.
-    monkeypatch.setattr(
-        regression, "BENCH_SUITE", {"noop": lambda: None}
-    )
-    history = tmp_path / "hist.jsonl"
-    assert main([
-        "bench", "record", "--history", str(history),
-        "--repeats", "2", "--label", "first",
-    ]) == 0
-    assert main([
-        "bench", "record", "--history", str(history),
-        "--scale-seconds", "100.0",
-    ]) == 0
-    entries = load_history(str(history))
-    assert len(entries) == 2 and entries[0]["label"] == "first"
-
-    assert main(["bench", "report", "--history", str(history)]) == 0
-    out = capsys.readouterr().out
-    assert "# bench history" in out
-
-    md = tmp_path / "report.md"
-    assert main([
-        "bench", "report", "--history", str(history), "-o", str(md),
-    ]) == 0
-    assert md.read_text().startswith("# bench history")
+    assert "scale-sparse run_s" in captured.err
+    # a missing record directory is a domain error, not a pass
+    assert main(["bench", "check", parent_dir, str(tmp_path / "nope"), SPEC]) == 1
+    assert "no such record directory" in capsys.readouterr().err
 
 
 def test_cli_bench_without_subcommand_errors(capsys):
     from repro.cli import main
 
     assert main(["bench"]) == 2
-    assert "record,report,check" in capsys.readouterr().err
+    assert "bench check PARENT_DIR CHANGE_DIR" in capsys.readouterr().err

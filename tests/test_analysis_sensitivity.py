@@ -52,6 +52,15 @@ def test_runtime_grows_with_population(instances):
     assert result.runtimes[16].mean > result.runtimes[4].mean
 
 
+def test_paper_mutation_rate_not_dominated_by_none(instances):
+    # some mutation restores lost material: the paper's 0.01 is not
+    # beaten by switching mutation off
+    result = sweep_ga_parameter(
+        instances, "mutation_rate", [0.0, 0.01], BASE, seed=6
+    )
+    assert result.savings[0.01].mean >= result.savings[0.0].mean - 1.0
+
+
 def test_unsweepable_field_rejected(instances):
     with pytest.raises(ValidationError):
         sweep_ga_parameter(instances, "selection", ["simple"], BASE)

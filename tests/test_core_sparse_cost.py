@@ -138,15 +138,29 @@ class TestAlgorithmsOnSparse:
     def test_sra_sparse_matches_both_dense_paths(
         self, dense_instance, sparse_problem
     ):
-        """Sparse SRA equals dense SRA on the generated instance and on a
-        fractional-size one, whose sizes the sparse problem must keep."""
+        """Sparse SRA equals dense SRA, and the tiled model prices the
+        primary-only scheme and D' bit for bit, on the generated
+        instance, on a fractional-size one (whose sizes the sparse
+        problem must keep) and on a 40x300 overlap size at tile 64."""
         fractional = SparseProblem.from_instance(FRACTIONAL)
         assert np.array_equal(fractional.sizes, FRACTIONAL.sizes)
         assert np.array_equal(fractional.capacities, FRACTIONAL.capacities)
-        for dense, sparse in (
-            (dense_instance, sparse_problem),
-            (FRACTIONAL, fractional),
+        overlap = generate_instance(
+            WorkloadSpec(num_sites=40, num_objects=300, update_ratio=0.05,
+                         capacity_ratio=0.2),
+            rng=7,
+        )
+        for dense, sparse, tile in (
+            (dense_instance, sparse_problem, 7),
+            (FRACTIONAL, fractional, 2),
+            (overlap, SparseProblem.from_instance(overlap), 64),
         ):
+            sparse_model = SparseCostModel(sparse, tile=tile)
+            dense_model = CostModel(dense)
+            assert sparse_model.total_cost(
+                ReplicationScheme.primary_only(sparse)
+            ) == dense_model.total_cost(ReplicationScheme.primary_only(dense))
+            assert sparse_model.d_prime() == dense_model.d_prime()
             sparse_result = SRA().run(sparse)
             dense_result = SRA().run(dense)
             assert np.array_equal(

@@ -88,6 +88,26 @@ def test_invalidation_cheaper_when_writes_dominate(manual_instance):
     assert invalidation < broadcast
 
 
+def test_invalidation_gains_on_broadcast_as_updates_grow():
+    # the eager-vs-lazy crossover: simulated invalidation traffic over
+    # the broadcast closed form must not rise with the update ratio
+    ratios = []
+    for update_ratio in (0.01, 0.05, 0.20):
+        inst = generate_instance(
+            WorkloadSpec(num_sites=8, num_objects=12,
+                         update_ratio=update_ratio, capacity_ratio=0.2),
+            rng=140,
+        )
+        scheme = SRA().run(inst).scheme
+        system = ReplicaSystem(
+            inst, scheme, write_strategy=WriteStrategy.INVALIDATION
+        )
+        system.replay(generate_trace(inst, rng=150))
+        broadcast = total_cost(inst, scheme, WriteStrategy.PRIMARY_BROADCAST)
+        ratios.append(system.metrics.request_ntc / broadcast)
+    assert ratios[-1] <= ratios[0] + 0.02, ratios
+
+
 def test_invalidation_equals_broadcast_read_only(setup):
     # with zero writes the strategies coincide (pure read traffic)
     inst, scheme = setup

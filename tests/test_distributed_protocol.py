@@ -87,6 +87,20 @@ def test_round_limit_guards_termination(small_instance):
         DistributedSRA(max_rounds=1).run(small_instance)
 
 
+def test_message_volume_grows_with_sites():
+    totals = [
+        DistributedSRA().run(
+            generate_instance(
+                WorkloadSpec(num_sites=sites, num_objects=15,
+                             update_ratio=0.05, capacity_ratio=0.15),
+                rng=202,
+            )
+        ).log.total_messages
+        for sites in (6, 10)
+    ]
+    assert totals[-1] > totals[0]
+
+
 def test_summary_keys(small_instance):
     report = DistributedSRA().run(small_instance)
     summary = report.summary()

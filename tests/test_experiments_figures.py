@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,16 @@ def test_sites_family_shares_sweep():
     assert len(_CACHE) == size_after_first  # no recomputation
 
 
+def test_fig2_runtimes_grow_with_sites():
+    # generous: the largest network may not take under half the time of
+    # the smallest.  Sites span 6 to 30 here: at MICRO's 6 to 10, SRA
+    # takes well under a millisecond and a GC pause could flip the order.
+    wide = dataclasses.replace(MICRO, fig1_sites=(6, 30))
+    for figure_id in ("fig2a", "fig2b"):
+        for values in run_figure(figure_id, wide, seed=1).series.values():
+            assert values[-1] > values[0] * 0.5, (figure_id, values)
+
+
 @pytest.mark.parametrize("figure_id", ["fig1c", "fig1d"])
 def test_objects_family(figure_id):
     result = run_figure(figure_id, MICRO, seed=1)
@@ -87,10 +99,22 @@ def test_objects_family(figure_id):
     assert {"SRA U=2%", "GRA U=10%"} <= set(result.series)
 
 
+def test_fig1d_gra_replicates_at_least_as_much_as_sra():
+    # at the highest update ratio SRA gives up while GRA keeps exploring
+    result = run_figure("fig1d", MICRO, seed=1)
+    high = max(MICRO.fig1_update_ratios) * 100
+    gra = result.series[f"GRA U={high:g}%"]
+    sra = result.series[f"SRA U={high:g}%"]
+    assert float(np.mean(gra)) >= float(np.mean(sra)) - 1.0
+
+
 def test_fig3a_series():
     result = run_figure("fig3a", MICRO, seed=1)
     assert set(result.series) == {"SRA", "GRA"}
     assert result.x_values == [2.0, 10.0]
+    assert float(np.mean(result.series["GRA"])) >= float(
+        np.mean(result.series["SRA"])
+    ) - 0.5
 
 
 def test_fig3b_series():
@@ -115,6 +139,10 @@ def test_fig4d_runtime_series():
     assert "Current" not in result.series
     for values in result.series.values():
         assert all(v >= 0.0 for v in values)
+    # stand-alone AGRA stays well under 5x a from-scratch GRA re-run
+    agra = float(np.mean(result.series["Current + AGRA"]))
+    fresh = float(np.mean(result.series["5 GRA"]))
+    assert agra < fresh * 5.0, (agra, fresh)
 
 
 def test_fig4a_and_fig4d_share_sweep():

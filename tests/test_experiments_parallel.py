@@ -61,6 +61,31 @@ def test_worker_counts_agree_with_each_other():
     assert _deterministic_fields(two) == _deterministic_fields(three)
 
 
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 4, reason="a 4-worker speedup needs >= 4 cores"
+)
+def test_four_workers_at_least_halve_a_figure_point():
+    # One Figure-1-style point: the paper's 15 networks, SRA and GRA on
+    # each.  Larger than SPEC so each task outweighs the pool start-up.
+    spec = WorkloadSpec(
+        num_sites=20, num_objects=40, update_ratio=0.05, capacity_ratio=0.15
+    )
+    factories = {
+        "SRA": SRAFactory(),
+        "GRA": GRAFactory(GAParams(population_size=20, generations=12)),
+    }
+    started = time.perf_counter()
+    serial = average_static_runs(spec, factories, instances=15, seed=9_400)
+    serial_s = time.perf_counter() - started
+    started = time.perf_counter()
+    parallel = ParallelRunner(max_workers=4).average_static_runs(
+        spec, factories, instances=15, seed=9_400
+    )
+    parallel_s = time.perf_counter() - started
+    assert _deterministic_fields(parallel) == _deterministic_fields(serial)
+    assert serial_s / parallel_s >= 2.0, (serial_s, parallel_s)
+
+
 def test_harness_max_workers_parameter_routes_to_pool():
     serial = average_static_runs(SPEC, FACTORIES, instances=2, seed=17)
     pooled = average_static_runs(

@@ -101,3 +101,20 @@ def test_main_trace_flag_writes_trace(monkeypatch, capsys, tmp_path):
     names = {r["name"] for r in records}
     assert "harness.average_static_runs" in names
     assert "harness.task" in names
+
+
+def test_verify_claims_exits_1_on_a_failed_claim(monkeypatch, capsys):
+    from repro.experiments import claims
+    from repro.experiments import runner as runner_mod
+
+    monkeypatch.setattr(runner_mod, "get_profile", lambda name="": MICRO)
+    verdict = claims.REPRODUCED
+
+    def fake_verify(profile, seed):
+        return [claims.ClaimResult("update-decay", "d", verdict, "e")]
+
+    monkeypatch.setattr(claims, "verify_claims", fake_verify)
+    assert main(["--verify-claims"]) == 0
+    verdict = claims.NOT_REPRODUCED
+    assert main(["--verify-claims"]) == 1
+    assert "NOT REPRODUCED: update-decay" in capsys.readouterr().err

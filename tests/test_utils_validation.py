@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.utils.validation import (
+    check_counts,
     check_fraction,
     check_index,
     check_matrix,
@@ -108,3 +109,23 @@ class TestCheckMatrix:
         out = check_matrix("m", arr)
         out[0, 0] = 5.0
         assert arr[0, 0] == 1.0
+
+
+class TestCheckCounts:
+    def test_accepts_whole_counts_of_any_numeric_dtype(self):
+        for counts in ([0, 3], np.array([0.0, 3.0]), np.array([[2]], np.int32)):
+            assert check_counts("reads", counts) is counts
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([1.0, 0.5], r"reads\[1\] = 0.5 \(1 fractional"),
+            ([1.0, -2.0], "non-negative"),
+            ([np.nan], "finite"),
+            (["3"], "numeric"),
+        ],
+        ids=["fractional", "negative", "nan", "string"],
+    )
+    def test_rejects_with_a_message(self, counts, message):
+        with pytest.raises(ValidationError, match=message):
+            check_counts("reads", counts)

@@ -292,3 +292,25 @@ def test_near_symmetric_cost_solves_identically_dense_and_sparse(
     assert np.array_equal(result.scheme.matrix, expected.scheme.matrix)
     assert result.total_cost == expected.total_cost
     assert result.d_prime == expected.d_prime
+
+
+def test_fractional_counts_rejected_by_every_path():
+    """A count is a number of requests.  Fractional reads and writes were
+    once truncated to int64 by the sparse path and rounded by the trace
+    generator while the dense model priced them as given: on this 6x8
+    instance with +0.5 reads and +0.25 writes, dense D' was 60,760.25
+    and sparse D' 58,907.0.  Every constructor now rejects them."""
+    inst = generate_instance(WorkloadSpec(num_sites=6, num_objects=8), rng=3)
+    reads, writes = inst.reads + 0.5, inst.writes + 0.25
+    for build in (
+        lambda: inst.with_patterns(reads=reads),
+        lambda: inst.with_patterns(writes=writes),
+        lambda: SparseCounts.from_dense(reads),
+        lambda: SparseCounts.from_coo((6, 8), [0], [1], [0.25]),
+        lambda: SparseCounts((6, 8), [0, 1, 1, 1, 1, 1, 1], [2], [1.5]),
+    ):
+        with pytest.raises(ValidationError, match="whole request counts"):
+            build()
+    # whole-valued floats are counts: both paths keep them exactly
+    whole = SparseCounts.from_dense(inst.reads.astype(float))
+    assert np.array_equal(whole.to_dense(), inst.reads)
