@@ -79,10 +79,7 @@ class CostModel:
         cache_size: int = 200_000,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if cache_size < 0:
-            raise ValidationError(
-                f"cache_size must be >= 0, got {cache_size}"
-            )
+        self._init_memo(cache_size, metrics)
         self._instance = instance
         self._uf = check_fraction(
             "update_fraction", update_fraction, allow_zero=True
@@ -104,6 +101,19 @@ class CostModel:
             self._total_write_weight,
         )
         self._cost_t = np.ascontiguousarray(instance.cost.T)
+
+    def _init_memo(
+        self, cache_size: int, metrics: Optional[MetricsRegistry]
+    ) -> None:
+        """The per-object LRU memo, its counters and the ``D_prime`` memo.
+
+        Every model constructor calls this, so a memo field cannot be
+        missed on one path.
+        """
+        if cache_size < 0:
+            raise ValidationError(
+                f"cache_size must be >= 0, got {cache_size}"
+            )
         self._cache: "OrderedDict[Tuple[int, bytes], float]" = OrderedDict()
         self._cache_size = cache_size
         self._hits = 0
@@ -220,9 +230,9 @@ class CostModel:
 
         ``nearest`` holds every site's distance to its nearest replicator
         (zero at the replicators).  This is the one per-column Eq. 4
-        expression: the full recompute, the one-shot deltas and the
-        incremental evaluator (which passes its maintained distances)
-        all price through it, so they agree bit for bit.
+        expression: the full recompute, the GA batch path, the one-shot
+        deltas and the incremental evaluator (which passes its maintained
+        distances) all price through it, so they agree bit for bit.
         """
         start, (read_w, write_w, to_primary, total_w) = self._tile(obj)
         col = obj - start
@@ -310,21 +320,16 @@ class CostModel:
                     )
         self._cache[key] = value
 
-    def object_costs_batch(
-        self, obj: int, columns: np.ndarray, chunk: int = 64
-    ) -> np.ndarray:
+    def object_costs_batch(self, obj: int, columns: np.ndarray) -> np.ndarray:
         """Costs of many replica columns of one object at once.
 
-        ``columns`` is a boolean ``(P, M)`` stack.  Duplicate columns are
-        collapsed with :func:`numpy.unique`, cached costs are reused, and
-        the remaining fresh columns are priced ``chunk`` rows at a time:
-        each row's nearest-replicator distances come from a gather over
-        its replicator set only, so the peak temporary is the
-        ``chunk x M`` nearest table (an earlier revision broadcast a
-        ``chunk x M x M`` masked copy of the cost matrix — half a
-        gigabyte at M=1024).  Equivalent to calling
-        :meth:`object_cost_cached` per row; used by GA population
-        evaluation where whole generations share columns.
+        ``columns`` is a boolean ``(P, M)`` stack.  Duplicate rows are
+        collapsed on the memo's own key (the packed row bytes), cached
+        costs are reused, and each remaining column is priced by
+        :meth:`column_cost`, so every row equals :meth:`object_cost` bit
+        for bit.  Equivalent to calling :meth:`object_cost_cached` per
+        row; used by GA population evaluation where whole generations
+        share columns.
         """
         columns = np.asarray(columns, dtype=bool)
         if columns.ndim != 2 or columns.shape[1] != self._instance.num_sites:
@@ -340,76 +345,53 @@ class CostModel:
             with tracer.span(
                 "cost.batch", obj=obj, rows=int(columns.shape[0])
             ):
-                result = self._timed_batch(obj, columns, chunk)
+                result = self._timed_batch(obj, columns)
                 observers().profiler.tick()
                 return result
-        return self._timed_batch(obj, columns, chunk)
+        return self._timed_batch(obj, columns)
 
-    def _timed_batch(
-        self, obj: int, columns: np.ndarray, chunk: int
-    ) -> np.ndarray:
+    def _timed_batch(self, obj: int, columns: np.ndarray) -> np.ndarray:
         if self._metrics is not None:
             with self._metrics.timer("cost.batch"):
-                return self._object_costs_batch(obj, columns, chunk)
-        return self._object_costs_batch(obj, columns, chunk)
+                return self._object_costs_batch(obj, columns)
+        return self._object_costs_batch(obj, columns)
 
     def _object_costs_batch(
-        self, obj: int, columns: np.ndarray, chunk: int
+        self, obj: int, columns: np.ndarray
     ) -> np.ndarray:
-        unique, inverse = np.unique(columns, axis=0, return_inverse=True)
-        # NumPy 2.1 returns the inverse with an extra axis under ``axis=``
-        # (reverted again in 2.2); flatten so indexing below always yields
-        # a (P,) result on every supported NumPy.
-        inverse = np.asarray(inverse).reshape(-1)
-        unique_costs = np.empty(unique.shape[0])
-        misses: list = []
-        keys: list = []
-        for idx in range(unique.shape[0]):
-            key = (obj, np.packbits(unique[idx]).tobytes())
-            hit = self._cache_lookup(key) if self._cache_size else None
+        # First row holding each distinct key, in first-appearance order;
+        # every row reads its price from that row's slot.
+        first: Dict[bytes, int] = {}
+        source = [
+            first.setdefault(key.tobytes(), row)
+            for row, key in enumerate(np.packbits(columns, axis=1))
+        ]
+        costs = np.empty(columns.shape[0])
+        misses = []
+        # Every distinct key is looked up before any miss is inserted: a
+        # population larger than the cache would otherwise evict the
+        # entries it is about to re-read.
+        for key, row in first.items():
+            hit = self._cache_lookup((obj, key)) if self._cache_size else None
             if hit is None:
-                misses.append(idx)
-                keys.append(key)
+                misses.append((key, row))
             else:
-                unique_costs[idx] = hit
-        cost = self._instance.cost
-        m = self._instance.num_sites
-        to_primary = self.cost_to_primary_col(obj)
-        read_w = self.read_weight_col(obj)
-        write_w = self.write_weight_col(obj)
-        total_w = self.total_write_weight_of(obj)
-        for start in range(0, len(misses), chunk):
-            block = misses[start:start + chunk]
-            mask = unique[block]  # (b, M)
-            # Per-row gather over the replicator set: min over the same
-            # value set as the masked broadcast it replaces, so results
-            # are bit-identical while peak memory drops from b*M*M to
-            # b*M (rows without replicators stay at inf, as before).
-            nearest = np.full((len(block), m), np.inf)
-            for offset in range(len(block)):
-                reps = np.nonzero(mask[offset])[0]
-                if reps.size:
-                    nearest[offset] = cost[:, reps].min(axis=1)
-            read_term = nearest @ read_w
-            nonrep = (~mask) @ (write_w * to_primary)
-            rep = (mask @ to_primary) * total_w
-            values = read_term + nonrep + rep
-            for offset, idx in enumerate(block):
-                unique_costs[idx] = values[offset]
-                if self._cache_size:
-                    self._cache_insert(
-                        keys[start + offset], float(values[offset])
-                    )
-        return unique_costs[inverse]
+                costs[row] = hit
+        for key, row in misses:
+            value = self._column_cost(obj, columns[row])
+            costs[row] = value
+            if self._cache_size:
+                self._cache_insert((obj, key), value)
+        return costs[source]
 
     def object_cost_kernel(self, obj: int, column: np.ndarray) -> float:
-        """Price one column through the batched kernel (cache-aware).
+        """Price one column through the batch path (cache-aware).
 
         Bit-identical to :meth:`object_costs_batch` on a single-row stack
         but without opening a trace span.
         """
         column = np.asarray(column, dtype=bool)
-        return float(self._timed_batch(obj, column[None, :], 1)[0])
+        return float(self._timed_batch(obj, column[None, :])[0])
 
     def population_costs(self, matrices) -> np.ndarray:
         """Total ``D`` of every scheme matrix in ``matrices`` (batched)."""
@@ -622,7 +604,7 @@ class SparseCostModel(CostModel):
     the same BLAS stride class as dense ``(M, N)`` columns — by never
     producing a width-1 tile (a trailing remainder of one column is
     merged into the previous tile).  The per-object LRU memo, the batch
-    kernel, the Eq. 4 column kernel and the incremental evaluator are
+    path, the Eq. 4 column kernel and the incremental evaluator are
     all inherited unchanged: they fetch weights through :meth:`_tile`,
     so an object-order pass (``total_cost``, ``d_prime``) builds each
     tile once.
@@ -638,10 +620,7 @@ class SparseCostModel(CostModel):
         metrics: Optional[MetricsRegistry] = None,
         tile: int = 256,
     ) -> None:
-        if cache_size < 0:
-            raise ValidationError(
-                f"cache_size must be >= 0, got {cache_size}"
-            )
+        self._init_memo(cache_size, metrics)
         if tile < 2:
             raise ValidationError(
                 f"tile width must be >= 2 (width-1 tiles change the "
@@ -657,13 +636,6 @@ class SparseCostModel(CostModel):
         self._uf = check_fraction(
             "update_fraction", update_fraction, allow_zero=True
         )
-        self._cache: "OrderedDict[Tuple[int, bytes], float]" = OrderedDict()
-        self._cache_size = cache_size
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._metrics = metrics
-        self._d_prime_per_object: Optional[np.ndarray] = None
         n = problem.num_objects
         width = min(int(tile), n)
         starts = list(range(0, n, width))

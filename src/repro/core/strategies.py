@@ -30,6 +30,7 @@ from typing import Dict, Union
 
 import numpy as np
 
+from repro.core.cost import CostModel
 from repro.core.problem import DRPInstance
 from repro.core.scheme import ReplicationScheme
 from repro.errors import ValidationError
@@ -67,6 +68,10 @@ def object_cost(
     """NTC of one object under the given write strategy."""
     strategy = WriteStrategy(strategy)
     mask = np.asarray(column, dtype=bool)
+    if strategy is WriteStrategy.PRIMARY_BROADCAST:
+        # The paper's policy is Eq. 4 itself: the cost model prices it.
+        model = CostModel(instance, update_fraction, cache_size=0)
+        return model.object_cost(obj, mask)
     reps = np.nonzero(mask)[0]
     cost = instance.cost
     size = float(instance.sizes[obj])
@@ -75,13 +80,6 @@ def object_cost(
     primary = int(instance.primaries[obj])
     nearest_cost = cost[:, reps].min(axis=1)
     uf = update_fraction
-
-    if strategy is WriteStrategy.PRIMARY_BROADCAST:
-        read_term = float(reads @ nearest_cost) * size
-        to_primary = cost[:, primary]
-        nonrep = float(writes[~mask] @ to_primary[~mask])
-        rep = float(to_primary[mask].sum() * writes.sum())
-        return read_term + uf * size * (nonrep + rep)
 
     if strategy is WriteStrategy.WRITER_MULTICAST:
         read_term = float(reads @ nearest_cost) * size
@@ -127,6 +125,9 @@ def total_cost(
 ) -> float:
     """Total NTC under the given write strategy."""
     mat = _as_matrix(instance, scheme)
+    if WriteStrategy(strategy) is WriteStrategy.PRIMARY_BROADCAST:
+        model = CostModel(instance, update_fraction, cache_size=0)
+        return model.total_cost(mat)
     return float(
         sum(
             object_cost(instance, k, mat[:, k], strategy, update_fraction)

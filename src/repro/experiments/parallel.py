@@ -16,7 +16,10 @@ serial harness:
   regardless of worker count or scheduling order;
 * cost evaluation is an exact deterministic function of the instance, so
   sharing (serial) versus not sharing (parallel) a
-  :class:`~repro.core.cost.CostModel` cache cannot change any number.
+  :class:`~repro.core.cost.CostModel` cache cannot change any number —
+  on float costs and sizes as well as integer ones, because every path
+  that fills the cache (batch, cached scalar, full recompute) prices a
+  column through the one Eq. 4 expression and memoises the same bits.
 
 Cross-cutting state rides on the runtime layer: every task carries an
 uninstalled :meth:`~repro.runtime.context.RunContext.fork` child of the

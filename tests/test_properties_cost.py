@@ -131,7 +131,7 @@ def test_eq1_eq2_decomposition(pair):
 )
 def test_batch_equals_scalar_equals_reference(pair, update_fraction, cached):
     """Three derivations of every per-object price must agree: the
-    chunked batch kernel, the scalar kernel (cached and uncached), and
+    batch path, the scalar kernel (cached and uncached), and
     the naive Eq. 4 oracle summed over objects — with and without the
     memo cache and under partial-update accounting."""
     instance, scheme = pair
@@ -145,13 +145,13 @@ def test_batch_equals_scalar_equals_reference(pair, update_fraction, cached):
     total = 0.0
     for k in range(instance.num_objects):
         columns = np.stack([mat[:, k], primary_only[:, k], mat[:, k]])
-        batch = model.object_costs_batch(k, columns, chunk=2)
+        batch = model.object_costs_batch(k, columns)
         assert batch.shape == (3,)
         assert batch[0] == pytest.approx(batch[2])  # duplicates collapse
         per_row = [model.object_cost(k, c) for c in columns]
-        assert np.allclose(batch, per_row)
+        assert batch.tolist() == per_row
         cached_row = [model.object_cost_cached(k, c) for c in columns]
-        assert np.allclose(batch, cached_row)
+        assert batch.tolist() == cached_row
         total += float(batch[0])
     assert total == pytest.approx(
         reference_total_cost(
